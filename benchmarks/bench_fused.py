@@ -22,6 +22,7 @@ dynamic instruction count (the trace arena), the fused peak does not.
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import time
 import tracemalloc
@@ -68,32 +69,42 @@ done:
 """
 
 
+def _store_key(pipeline: str, workload) -> str:
+    """SHA-256 hex store key for one benchmark entry.
+
+    The store accepts only lowercase hex content hashes (it joins keys
+    into file paths), so benchmark entries are hashed like the engine's
+    own keys: over the workload content plus the pipeline label.
+    """
+    blob = f"bench-fused|{pipeline}|{workload.content_hash()}".encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
 def _cold_materialized(workload, store):
     """Everything a cold store miss pays on the classic pipeline."""
     evaluation = _compute_evaluation(workload, pipeline="materialized")
     summary = evaluation.summarize()
-    store.save(f"bench-m-{workload.name}", summary)
-    store.save_trace(f"bench-m-{workload.name}", artifact_from_evaluation(evaluation))
+    key = _store_key("materialized", workload)
+    store.save(key, summary)
+    store.save_trace(key, artifact_from_evaluation(evaluation))
     return evaluation
 
 
 def _cold_fused(workload, store):
     """The same miss through the streaming pipeline: no trace, no snapshot."""
     evaluation = _compute_evaluation(workload, pipeline="fused")
-    store.save(f"bench-f-{workload.name}", evaluation.summarize())
+    store.save(_store_key("fused", workload), evaluation.summarize())
     return evaluation
 
 
-@pytest.fixture(scope="module")
-def bench_setup(tmp_path_factory):
-    """Workloads + a scratch store, with all compiled tiers warm.
+def prefill_store(store, names=_WORKLOADS):
+    """Run both cold paths once per workload into ``store``.
 
-    The warm-up pass also asserts the two pipelines produce identical
-    summaries — the speedup claim is only meaningful if the fast path is
-    bit-exact.
+    Warms every compiled tier and asserts the two pipelines produce
+    identical summaries — the speedup claim is only meaningful if the
+    fast path is bit-exact.  Returns ``(workloads, instructions)``.
     """
-    store = ResultStore(tmp_path_factory.mktemp("fused-bench-store"))
-    workloads = [workload_by_name(name) for name in _WORKLOADS]
+    workloads = [workload_by_name(name) for name in names]
     instructions = {}
     for workload in workloads:
         materialized = _cold_materialized(workload, store)
@@ -102,6 +113,14 @@ def bench_setup(tmp_path_factory):
             f"pipelines disagree on {workload.name}"
         )
         instructions[workload.name] = fused.run.instructions
+    return workloads, instructions
+
+
+@pytest.fixture(scope="module")
+def bench_setup(tmp_path_factory):
+    """Workloads + a scratch store, with all compiled tiers warm."""
+    store = ResultStore(tmp_path_factory.mktemp("fused-bench-store"))
+    workloads, instructions = prefill_store(store)
     return workloads, store, instructions
 
 

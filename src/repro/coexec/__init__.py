@@ -1,6 +1,6 @@
 """Lockstep co-execution and first-divergence bisection.
 
-The repo's differential guarantees — three bit-identical simulator
+The repo's differential guarantees — two bit-identical simulator
 tiers, three timing-kernel implementations, per-policy vs fused energy
 accounting — are enforced end-to-end by summary equality.  This package
 turns a summary mismatch into an actionable report: the exact first

@@ -1,15 +1,21 @@
 """Block compiler: straight-line Python per basic block.
 
-The third (and default) dispatch tier of :class:`~repro.sim.machine.Machine`.
-Where the *fast* tier compiles one Python closure per static instruction and
-pays a dispatch (list index + call), a limit check and a trace-emission call
-per *dynamic* instruction, this tier generates specialized Python **source**
-for every basic block of the program — instruction semantics inlined in
-order, register accesses hoisted into SSA locals, immediates/branch targets/
-call return addresses baked in as literals — compiles it once per
+The production (and default) dispatch tier of
+:class:`~repro.sim.machine.Machine`; the decode-every-step reference loop
+is its oracle.  Instead of decoding and dispatching every *dynamic*
+instruction, this tier generates specialized Python **source** for every
+basic block of the program — instruction semantics inlined in order,
+register accesses hoisted into SSA locals, immediates/branch targets/call
+return addresses baked in as literals — compiles it once per
 :class:`~repro.ir.Program` with :func:`compile`/``exec``, and drives a
 block-level hot loop, so dispatch, fetch/decode and the dynamic-instruction
 limit check amortize over whole blocks.
+
+Value profiling is compiled in too: the watched uids of a value observer
+are known before the run, so each watched instruction's unit calls
+``observe(uid, value)`` right after computing the result, with exactly the
+value the reference loop passes (CALL return addresses included).  A
+compiled program is specific to its ``(collect_trace, watched)`` pair.
 
 Trace emission is block-batched.  At compile time every block's packed meta
 words (``uid << 8 | flags``, the exact encoding of
@@ -43,10 +49,10 @@ ends at the first control-flow instruction or at the next entry point
 (fallthrough).  Every unit has a fixed dynamic length, which is what lets
 the driver hoist the instruction-limit check to block granularity.
 
-Semantics, trace contents and failure behaviour are locked bit-for-bit
-against the reference and fast tiers by ``tests/test_sim_machine.py`` and
-``tests/test_trace_columnar.py``.  This module is part of the simulator-side
-code fingerprint (``repro/experiments/store.py``), so editing the compiler
+Semantics, trace contents, observer streams and failure behaviour are
+locked bit-for-bit against the reference loop by
+``tests/test_sim_machine.py`` and ``tests/test_trace_columnar.py``.  This
+module is part of the simulator-side code fingerprint (``repro/experiments/store.py``), so editing the compiler
 retires all stored binary trace snapshots instead of replaying stale ones.
 """
 
@@ -150,11 +156,13 @@ _ENCODE_MEM = f"({{m}} - {1 << 64} if {{m}} > {_INT64_MAX} else {{m}})"
 class BlockProgram:
     """One compiled program: shareable across every run of a ``Machine``.
 
-    ``bind`` is the generated per-run factory; ``consts`` the constant
-    pool it unpacks (lookup helpers, :class:`Width` members, meta
-    templates); ``lengths`` maps each entry pc to its unit's fixed
-    dynamic instruction count (0 for non-entry pcs); ``source`` the
-    generated Python text (deterministic, useful for debugging and
+    ``bind`` is the generated per-run factory (its trailing ``observe``
+    argument is the value-observer callback, required when the program
+    was compiled with watched uids); ``consts`` the constant pool it
+    unpacks (lookup helpers, :class:`Width` members, meta templates);
+    ``lengths`` maps each entry pc to its unit's fixed dynamic
+    instruction count (0 for non-entry pcs); ``source`` the generated
+    Python text (deterministic, useful for debugging and
     covered by the simulator code fingerprint via this module's source).
     """
 
@@ -169,7 +177,8 @@ class BlockProgram:
 class _UnitWriter:
     """Codegen state for one compilation unit (SSA locals, values, metas)."""
 
-    def __init__(self) -> None:
+    def __init__(self, watched: frozenset[int] = frozenset()) -> None:
+        self.watched = watched
         self.lines: list[str] = []
         self.current: dict[int, str] = {}
         self.written: dict[int, str] = {}
@@ -208,6 +217,11 @@ class _UnitWriter:
         self.current[dest.index] = name
         self.written[dest.index] = name
 
+    def observe(self, inst: Instruction, value: str) -> None:
+        """Report ``value`` to the value observer if ``inst`` is watched."""
+        if inst.uid in self.watched:
+            self.lines.append(f"observe({inst.uid}, {value})")
+
     def temp_name(self, prefix: str) -> str:
         name = f"{prefix}{self._temp}"
         self._temp += 1
@@ -239,9 +253,9 @@ def _gen_straightline(
 ) -> None:
     """Emit one non-control instruction into the unit.
 
-    Mirrors the fast tier's per-kind handlers instruction for instruction:
-    the same operand resolution, the same result normalization, the same
-    per-record meta and value tuple.
+    Mirrors the reference loop instruction for instruction: the same
+    operand resolution, the same result normalization, the same
+    per-record meta and value tuple, the same observed value.
 
     ``mutate`` is the fault-injection seam used by the lockstep
     co-execution harness (:mod:`repro.coexec`): it receives each
@@ -250,8 +264,8 @@ def _gen_straightline(
     unchanged, corrupted for one seeded instruction.  It applies to the
     single-expression kinds (ALU/MUL/LOGICAL/SHIFT, COMPARE, CMOV,
     MASK/EXTEND and LDA); the mutated value flows into the register
-    writeback, the trace record and every later use inside the unit,
-    exactly as a miscompiled semantics bug would.
+    writeback, the trace record, the observed value and every later use
+    inside the unit, exactly as a miscompiled semantics bug would.
     """
     op = inst.op
     kind = inst.kind
@@ -265,6 +279,7 @@ def _gen_straightline(
         if mutate is not None:
             expr = mutate(inst, expr)
         result = unit.assign(expr)
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [a, b, result]
@@ -278,6 +293,7 @@ def _gen_straightline(
         if mutate is not None:
             expr = mutate(inst, expr)
         result = unit.assign(expr)
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [a, b, result]
@@ -293,6 +309,7 @@ def _gen_straightline(
         if mutate is not None:
             expr = mutate(inst, expr)
         result = unit.assign(expr)
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [cond, value, old, result]
@@ -305,6 +322,7 @@ def _gen_straightline(
         if mutate is not None:
             expr = mutate(inst, expr)
         result = unit.assign(expr)
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [a, result]
@@ -321,6 +339,7 @@ def _gen_straightline(
                 # Register values already satisfy the signed-64 invariant,
                 # so the reference loop's to_signed is the identity here.
                 result = unit.read(source.index)
+            unit.observe(inst, result)
             unit.write(inst.dest, result)
             if trace:
                 unit.values.append(result)
@@ -332,12 +351,14 @@ def _gen_straightline(
                 # The trace records the raw bit pattern; the register
                 # write normalizes to signed — both baked as constants.
                 raw = source.value if isinstance(source, Imm) else 0
+                unit.observe(inst, f"({raw})")
                 unit.write(inst.dest, f"({to_signed(raw)})")
                 if trace:
                     unit.values += [f"({raw})", f"({raw})"]
                     unit.metas.append(base_meta | FLAG_RESULT | 1 << 4)
                 return
             a = unit.read(source.index)
+            unit.observe(inst, a)
             unit.write(inst.dest, a)
             if trace:
                 unit.values += [a, a]
@@ -350,6 +371,7 @@ def _gen_straightline(
         if mutate is not None:
             expr = mutate(inst, expr)
         result = unit.assign(expr)
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [a, result]
@@ -384,6 +406,7 @@ def _gen_straightline(
             unit.lines.append(f"    {result} = {_sext_expr(raw, width.bits)}")
         else:
             unit.lines.append(f"    {result} = {raw}")
+        unit.observe(inst, result)
         unit.write(inst.dest, result)
         if trace:
             unit.values += [base, result]
@@ -439,12 +462,14 @@ def compile_blocks(
     machine: "Machine",
     collect_trace: bool,
     mutate_result: Callable[[Instruction, str], str] | None = None,
+    watched: frozenset[int] = frozenset(),
 ) -> BlockProgram:
     """Compile ``machine.program`` into a :class:`BlockProgram`.
 
-    Pure function of the (flattened) program and ``collect_trace`` — no
-    per-run state is consulted, so the result is cached on the machine
-    and reused by every subsequent :meth:`Machine.run`.
+    Pure function of the (flattened) program, ``collect_trace`` and the
+    ``watched`` uids whose results are reported to the bound ``observe``
+    callback — no per-run state is consulted, so the result is cached on
+    the machine and reused by every subsequent :meth:`Machine.run`.
 
     ``mutate_result`` is the fault-injection seam for the lockstep
     co-execution harness (see :func:`_gen_straightline`).  Programs
@@ -494,7 +519,7 @@ def compile_blocks(
 
         function_name, block_label, _ = flat[entry]
         block_key = (function_name, block_label)
-        unit = _UnitWriter()
+        unit = _UnitWriter(watched)
         if block_start[block_key] == entry:
             unit.lines.append(f"block_counts[{block_key!r}] = _bc({block_key!r}, 0) + 1")
 
@@ -554,7 +579,7 @@ def compile_blocks(
     header = [
         "def bind(regs, load, store, pages_get, page_for, output_append,",
         "         block_counts, call_counts, consts,",
-        "         rows_extend, arena_extend, mem_append, spill):",
+        "         rows_extend, arena_extend, mem_append, spill, observe=None):",
         "    _bc = block_counts.get",
         "    _cc = call_counts.get",
         "    _ifb = int.from_bytes",
@@ -596,7 +621,7 @@ def _gen_branch_tail(
         # Branch to a pruned label: defer the lookup to execution so a
         # never-taken branch behaves exactly like the reference loop and
         # a taken one raises the identical KeyError (before any emission,
-        # matching the per-record tiers' observable order).
+        # matching the reference loop's observable order).
         ghost = f"_bs[({function_name!r}, {inst.target!r})]"
         if inst.op is Opcode.BR:
             tail.append(f"return {ghost}")
@@ -663,11 +688,13 @@ def _gen_call_tail(
     unit.write(inst.dest, f"({return_address})")
     if target_pc is None:
         # Dead call to a removed function: the return-address write lands
-        # first (as in both per-record tiers), then the lookup raises the
-        # identical KeyError — before any emission or call counting.
+        # first (as in the reference loop), then the lookup raises the
+        # identical KeyError — before any observation, emission or call
+        # counting.
         tail += unit.writeback_lines()
         tail.append(f"return _fe[{target!r}]")
         return tail
+    unit.observe(inst, f"({return_address})")
     if collect_trace:
         unit.values.append(f"({return_address})")
         unit.metas.append(base_meta | FLAG_RESULT | _TAKEN)

@@ -264,7 +264,7 @@ class TraceRecordView:
     """Sequence view over a :class:`Trace` yielding :class:`TraceRecord`.
 
     Compares equal to a plain list of records, so differential tests like
-    ``fast.trace.records == reference.trace.records`` work unchanged
+    ``block.trace.records == reference.trace.records`` work unchanged
     without materializing either side up front.
     """
 
@@ -338,9 +338,9 @@ def pack_record(
 
     The single source of truth for the flag-byte layout, shared by every
     site that encodes records dynamically (the reference interpreter
-    loop, record-list ingestion, benchmarks); the fast-dispatch handlers
-    bake the same encoding in as compile-time constants, which the
-    loop-equivalence tests lock against this function's output.
+    loop, record-list ingestion, benchmarks); the block compiler bakes
+    the same encoding into its meta templates as compile-time constants,
+    which the tier-equivalence tests lock against this function's output.
     """
     n_src = len(srcs)
     if n_src > 7:
@@ -414,12 +414,11 @@ class Trace:
     def emitters(self):
         """The shared per-record append path: ``(emit, emit_mem)`` closures.
 
-        The reference and fast-dispatch tiers of
-        :class:`~repro.sim.machine.Machine` write trace records
-        exclusively through these two closures (the block-compiled tier
-        batches the same packed words via :meth:`block_emitters`), so the
-        columnar encoding has a single source of truth and the emission
-        sites cannot drift.
+        The reference loop of :class:`~repro.sim.machine.Machine` (and
+        record-list ingestion) writes trace records exclusively through
+        these two closures, and the block-compiled tier batches the same
+        packed words via :meth:`block_emitters`, so the columnar encoding
+        has a single source of truth and the emission sites cannot drift.
 
         ``emit(meta, values)`` appends one record whose packed ``meta``
         the caller provides (``uid << 8 | flags``); ``values`` holds the
@@ -464,7 +463,7 @@ class Trace:
         the two append paths cannot drift.  ``append_mem`` appends one
         *signed-encoded* effective address; the block compiler bakes the
         unsigned→signed reinterpretation of :func:`_encode_u64` into its
-        generated source, exactly as the fast-dispatch tier bakes metas.
+        generated source, exactly as it bakes the packed metas.
         """
         arena = self._arena
         big = self._big

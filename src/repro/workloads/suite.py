@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,16 +103,30 @@ def workload_by_name(name: str) -> Workload:
     return _REGISTRY[name]()
 
 
+#: Guards the one-time import of the program modules.  ``_LOADED`` flips
+#: only after every module has registered, so a thread racing another
+#: thread's import waits for the full registry instead of reading a
+#: partial one.
+_LOAD_LOCK = threading.Lock()
+_LOADED = False
+
+
 def _ensure_loaded() -> None:
-    if _REGISTRY:
+    global _LOADED
+    if _LOADED:
         return
-    from .programs import (  # noqa: F401  (importing registers the factories)
-        compress_w,
-        gcc_w,
-        go_w,
-        ijpeg_w,
-        li_w,
-        m88ksim_w,
-        perl_w,
-        vortex_w,
-    )
+    with _LOAD_LOCK:
+        if _LOADED:
+            return
+        from .programs import (  # noqa: F401  (importing registers the factories)
+            compress_w,
+            gcc_w,
+            go_w,
+            ijpeg_w,
+            li_w,
+            m88ksim_w,
+            perl_w,
+            vortex_w,
+        )
+
+        _LOADED = True

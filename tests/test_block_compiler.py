@@ -51,52 +51,52 @@ done:
 class TestCompiledProgramReuse:
     def test_second_run_performs_zero_compilation(self, monkeypatch):
         """The acceptance probe: repeated runs only *bind* per-run state —
-        no instruction makers are rebuilt, no block program is recompiled,
-        for either compiled tier or trace flavour."""
+        no block program is recompiled, for either trace flavour or a
+        value observer's watched set."""
         import repro.sim.machine as machine_module
+        from repro.sim import ValueProfiler
 
         program = assemble_program(_LOOP_ASM)
         machine = Machine(program)
+        watched = {inst.uid for inst in program.functions["main"].instructions()}
 
-        calls = {"makers": 0, "blocks": 0}
-        real_maker = Machine._instruction_maker
+        calls = {"blocks": 0}
         real_compile = machine_module.compile_blocks
-
-        def counting_maker(self, *args, **kwargs):
-            calls["makers"] += 1
-            return real_maker(self, *args, **kwargs)
 
         def counting_compile(*args, **kwargs):
             calls["blocks"] += 1
             return real_compile(*args, **kwargs)
 
-        monkeypatch.setattr(Machine, "_instruction_maker", counting_maker)
         monkeypatch.setattr(machine_module, "compile_blocks", counting_compile)
 
-        first = {
-            (tier, trace): machine.run(collect_trace=trace, dispatch=tier)
-            for tier in ("block", "fast")
-            for trace in (True, False)
-        }
-        assert calls["makers"] == len(machine._flat)
-        assert calls["blocks"] == 2  # one block program per trace flavour
+        def run(trace, observed):
+            profiler = ValueProfiler(watched) if observed else None
+            result = machine.run(collect_trace=trace, value_observer=profiler, dispatch="block")
+            tables = profiler.tables if observed else None
+            return result, {uid: vars(table) for uid, table in (tables or {}).items()}
 
-        calls["makers"] = calls["blocks"] = 0
-        for (tier, trace), cold in first.items():
-            warm = machine.run(collect_trace=trace, dispatch=tier)
+        flavours = [(True, False), (False, False), (False, True)]
+        first = {flavour: run(*flavour) for flavour in flavours}
+        # One block program per (trace flavour, watched set).
+        assert calls["blocks"] == 3
+
+        calls["blocks"] = 0
+        for (trace, observed), (cold, cold_tables) in first.items():
+            warm, warm_tables = run(trace, observed)
             assert warm.output == cold.output
             assert warm.instructions == cold.instructions
             assert warm.block_counts == cold.block_counts
+            assert warm_tables == cold_tables
             if trace:
                 assert warm.trace.records == cold.trace.records
-        assert calls == {"makers": 0, "blocks": 0}, "second run must not compile"
+        assert calls == {"blocks": 0}, "second run must not compile"
 
     def test_repeated_runs_share_one_block_program(self):
         machine = Machine(assemble_program(_LOOP_ASM))
         machine.run(collect_trace=True, dispatch="block")
-        program_object = machine._block_programs[True]
+        program_object = machine._block_programs[(True, frozenset())]
         machine.run(collect_trace=True, dispatch="block")
-        assert machine._block_programs[True] is program_object
+        assert machine._block_programs[(True, frozenset())] is program_object
 
 
 class TestGeneratedSource:

@@ -32,7 +32,7 @@ from repro.coexec import (
 )
 from repro.coexec import kernels as kernels_module
 from repro.experiments.__main__ import main as experiments_main
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, SimulationLimitExceeded
 from repro.uarch import MachineConfig
 
 # ----------------------------------------------------------------------
@@ -111,7 +111,30 @@ done:
 .endfunc
 """
 
-_TIER_PAIRS = (("reference", "fast"), ("reference", "block"), ("fast", "block"))
+#: ``ra + 4`` skips the call-return-site unit's first instruction, so the
+#: return lands mid-block; ``{tail}`` ends the program after the landing.
+_LANDING_ASM = """
+.func helper 0
+entry:
+    add ra, ra, 4
+    ret
+.endfunc
+.func main 0
+entry:
+    li r1, 0
+    jsr helper
+    add r1, r1, 100
+    add r1, r1, 200
+spin:
+    add r1, r1, 1
+    {tail}
+.endfunc
+"""
+
+#: Both orders of the production/oracle pair (the first tier paces the
+#: run, so the catch-up logic differs), plus two block cursors sharing the
+#: machine's cached compiled program with private run state.
+_TIER_PAIRS = (("reference", "block"), ("block", "reference"), ("block", "block"))
 
 
 # ----------------------------------------------------------------------
@@ -137,13 +160,33 @@ class TestLockstepAgreement:
         program = assemble_program(_TINY_ASM)
         assert first_divergence(program, tiers=tiers, max_instructions=7) is None
 
+    @pytest.mark.parametrize("tiers", _TIER_PAIRS)
+    def test_mid_block_landing_agrees(self, tiers):
+        """A tampered return lands mid-block; the block cursor finishes on
+        the resumed reference stepper, exactly like ``Machine.run``."""
+        program = assemble_program(_LANDING_ASM.format(tail="print r1\n    halt"))
+        assert first_divergence(program, tiers=tiers) is None
+
+    def test_mid_block_landing_keeps_the_instruction_limit(self):
+        from repro.coexec.lockstep import _Cursor
+
+        program = assemble_program(_LANDING_ASM.format(tail="br spin"))
+        limit = 50
+        cursor = _Cursor(Machine(program, max_instructions=limit), "block")
+        while cursor.live:
+            cursor.advance_unit()
+        assert isinstance(cursor.error, SimulationLimitExceeded)
+        assert cursor.executed == limit
+
     def test_rejects_unknown_tiers_and_bad_fault_sites(self):
         program = assemble_program(_TINY_ASM)
         with pytest.raises(ValueError):
             Lockstep(program, tiers=("reference", "turbo"))
         with pytest.raises(ValueError):
             # A fault requires the block tier on the mutated side.
-            Lockstep(program, tiers=("reference", "fast"), fault=Fault("main", "loop", 0))
+            Lockstep(program, tiers=("block", "reference"), fault=Fault("main", "loop", 0))
+        with pytest.raises(ValueError):
+            Lockstep(program, tiers=("reference", "fast"))
         with pytest.raises(ValueError):
             Lockstep(
                 program,

@@ -468,12 +468,76 @@ class TestMachineBudgets:
         with pytest.raises(ResourceExhausted, match="trace budget"):
             Machine(li_program, max_trace_bytes=64).run(collect_trace=True)
 
-    @pytest.mark.parametrize("run_kwargs", [{"pipeline": "fused"}, {"dispatch": "fast"}])
+    @pytest.mark.parametrize(
+        "run_kwargs", [{"pipeline": "fused"}, {"value_observer": "every instruction"}]
+    )
     def test_wall_time_budget_covers_other_tiers(self, li_program, run_kwargs):
-        from repro.sim.machine import Machine
+        """The fused tier and value-profiling block runs (a separately
+        compiled block program) honour the budget too."""
+        from repro.sim import Machine, ValueProfiler
 
+        if "value_observer" in run_kwargs:
+            watched = {
+                inst.uid
+                for function in li_program.iter_functions()
+                for inst in function.instructions()
+            }
+            run_kwargs = {"value_observer": ValueProfiler(watched)}
         with pytest.raises(ResourceExhausted):
             Machine(li_program, wall_time_s=1e-9).run(**run_kwargs)
+
+    # A tampered return address lands mid-block (``ra + 4`` skips the
+    # call-return-site unit's first instruction), so the block tier
+    # finishes on the resumed reference stepper — which then spins forever.
+    _LANDING_LOOP = """
+.func helper 0
+entry:
+    add ra, ra, 4
+    ret
+.endfunc
+.func main 0
+entry:
+    li r1, 0
+    jsr helper
+    add r1, r1, 100
+    add r1, r1, 200
+spin:
+    add r1, r1, 1
+    br spin
+.endfunc
+"""
+
+    @pytest.mark.parametrize(
+        "budget, run_kwargs",
+        [
+            ({"wall_time_s": 1e-9}, {}),
+            ({"max_trace_bytes": 4096}, {"collect_trace": True}),
+        ],
+        ids=["wall-time", "trace-bytes"],
+    )
+    def test_budgets_survive_a_mid_block_landing(self, budget, run_kwargs, monkeypatch):
+        from repro.asm import assemble_program
+        from repro.sim.machine import Machine
+
+        landings = []
+        real_steps = Machine._reference_steps
+
+        def spy(self, *args, **kwargs):
+            landings.append(args[2])  # the resume pc
+            return real_steps(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "_reference_steps", spy)
+        machine = Machine(
+            assemble_program(self._LANDING_LOOP),
+            max_instructions=500_000,
+            dispatch="block",
+            **budget,
+        )
+        # Without the probes on the resumed stepper this run would end in
+        # SimulationLimitExceeded instead.
+        with pytest.raises(ResourceExhausted):
+            machine.run(**run_kwargs)
+        assert len(landings) == 1
 
     def test_generous_budgets_change_nothing(self, li_program):
         from repro.sim.machine import Machine

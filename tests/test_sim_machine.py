@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.asm import assemble_program
 from repro.isa import Width
 from repro.sim import Machine, Memory, SimulationLimitExceeded, ValueProfiler
-from repro.workloads import workload_by_name
+from repro.workloads import SUITE_NAMES, workload_by_name
 
 
 class TestMemory:
@@ -162,27 +162,41 @@ entry:
         assert profiler.table(add.uid).entries == {7: 1}
 
 
+def _uids(program):
+    return {inst.uid for function in program.iter_functions() for inst in function.instructions()}
+
+
 class TestFastDispatch:
-    """The compiled-handler interpreter must be indistinguishable from the
-    reference decode-every-step loop — down to the individual trace records."""
+    """The fast value-profiling path: the block tier with ``observe`` hooks
+    compiled in must be indistinguishable from the reference loop — down to
+    the individual trace records and observed values.  (The class keeps its
+    name so its test ids stay stable.)"""
+
+    def _observed_runs(self, program, watched=None, **kwargs):
+        runs = {}
+        for tier in ("reference", "block"):
+            profiler = ValueProfiler(_uids(program) if watched is None else watched)
+            run = Machine(program).run(
+                collect_trace=True, dispatch=tier, value_observer=profiler, **kwargs
+            )
+            runs[tier] = (run, {uid: vars(table) for uid, table in profiler.tables.items()})
+        return runs
 
     @pytest.mark.parametrize("name", ("ijpeg", "li"))
-    def test_traces_are_bit_identical_on_workloads(self, name, assert_tiers_agree):
+    def test_traces_are_bit_identical_on_workloads(self, name):
         workload = workload_by_name(name)
         program = workload.build()
         workload.apply_input(program, "ref")
-        # Lockstep first: a bit-exactness failure reports the exact first
-        # diverging step/uid instead of a summary mismatch.
-        assert_tiers_agree(program, tiers=("reference", "fast"))
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert fast.instructions == reference.instructions
-        assert fast.output == reference.output
-        assert fast.block_counts == reference.block_counts
-        assert fast.call_counts == reference.call_counts
-        assert fast.halted == reference.halted
-        assert fast.trace.records == reference.trace.records
+        runs = self._observed_runs(program)
+        (reference, ref_tables), (block, block_tables) = runs["reference"], runs["block"]
+        assert block.instructions == reference.instructions
+        assert block.output == reference.output
+        assert block.block_counts == reference.block_counts
+        assert block.call_counts == reference.call_counts
+        assert block.halted == reference.halted
+        assert block.trace.records == reference.trace.records
+        assert block_tables == ref_tables
+        assert block_tables
 
     def test_value_observer_equivalence(self):
         program = assemble_program(
@@ -202,9 +216,9 @@ done:
         )
         add = [i for i in program.functions["main"].instructions() if i.op.value == "add"][0]
         tables = []
-        for fast in (False, True):
+        for tier in ("reference", "block"):
             profiler = ValueProfiler({add.uid})
-            Machine(program).run(value_observer=profiler, fast_dispatch=fast)
+            Machine(program).run(value_observer=profiler, dispatch=tier)
             tables.append(profiler.table(add.uid).entries)
         assert tables[0] == tables[1] == {3: 1, 6: 1, 9: 1, 12: 1}
 
@@ -222,16 +236,17 @@ entry:
         )
         # Force the edge a transform could produce: a raw unsigned 64-bit
         # bit pattern as a MOV immediate.  The register write normalizes to
-        # signed (-1) while the trace records the raw value, in both loops.
+        # signed (-1) while the trace and the observer see the raw value.
         from repro.isa import Imm
 
         mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
         mov.srcs = (Imm(2**64 - 1),)
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert reference.output == fast.output == [-1]
-        assert reference.trace.records == fast.trace.records
+        runs = self._observed_runs(program, watched={mov.uid})
+        (reference, ref_tables), (block, block_tables) = runs["reference"], runs["block"]
+        assert reference.output == block.output == [-1]
+        assert reference.trace.records == block.trace.records
+        assert ref_tables == block_tables
+        assert block_tables[mov.uid]["entries"] == {2**64 - 1: 1}
 
     def test_dead_branch_to_pruned_label_matches_reference(self):
         program = assemble_program(
@@ -250,25 +265,25 @@ done:
 """
         )
         # Prune the (never-taken) branch's target after validation, as a
-        # transform dropping a dead block would; compilation must not choke
-        # on it, and execution must match the reference loop.
+        # transform dropping a dead block would; compiling the observed
+        # units must not choke on it, and execution must match.
         beq = [i for i in program.functions["main"].instructions() if i.op.value == "beq"][0]
         beq.target = "ghost"
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert fast.output == reference.output == [1, 1]
-        assert fast.trace.records == reference.trace.records
+        runs = self._observed_runs(program)
+        (reference, ref_tables), (block, block_tables) = runs["reference"], runs["block"]
+        assert block.output == reference.output == [1, 1]
+        assert block.trace.records == reference.trace.records
+        assert block_tables == ref_tables
 
-        # Taken variant: both loops fail identically (same KeyError key).
+        # Taken variant: both tiers fail identically (same KeyError key).
         li = [i for i in program.functions["main"].instructions() if i.op.value == "li"][0]
         li.srcs = (type(li.srcs[0])(0),)  # cond == 0 -> beq taken
-        machine = Machine(program)
-        with pytest.raises(KeyError) as ref_err:
-            machine.run(fast_dispatch=False)
-        with pytest.raises(KeyError) as fast_err:
-            machine.run(fast_dispatch=True)
-        assert ref_err.value.args == fast_err.value.args
+        errors = {}
+        for tier in ("reference", "block"):
+            with pytest.raises(KeyError) as excinfo:
+                Machine(program).run(dispatch=tier, value_observer=ValueProfiler(_uids(program)))
+            errors[tier] = excinfo.value.args
+        assert errors["block"] == errors["reference"]
 
     def test_instruction_limit_enforced(self):
         program = assemble_program(
@@ -279,8 +294,9 @@ entry:
 .endfunc
 """
         )
+        profiler = ValueProfiler(_uids(program))
         with pytest.raises(SimulationLimitExceeded):
-            Machine(program, max_instructions=100).run(fast_dispatch=True)
+            Machine(program, max_instructions=100).run(dispatch="block", value_observer=profiler)
 
     def test_environment_opt_out(self, monkeypatch):
         program = assemble_program(
@@ -292,63 +308,35 @@ entry:
 """
         )
         monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
-        assert Machine(program).fast_dispatch is False
+        assert Machine(program).dispatch == "reference"
         monkeypatch.delenv("REPRO_SIM_DISPATCH")
-        assert Machine(program).fast_dispatch is True
-        assert Machine(program, fast_dispatch=False).fast_dispatch is False
-
-    @pytest.mark.slow
-    def test_speedup_over_reference_loop(self):
-        """The acceptance bar for the rewrite: ≥2× on a trace-collecting run
-        (the configuration the headline benchmark exercises)."""
-        workload = workload_by_name("go")
-        program = workload.build()
-        workload.apply_input(program, "ref")
-        machine = Machine(program)
-
-        def timed(**kwargs):
-            # The cyclic collector fires on allocation volume and its pauses
-            # depend on how much unrelated live heap the test session has
-            # accumulated; keep it out of the measured region (trace records
-            # are plain tuples, nothing here needs cycle collection).
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                machine.run(collect_trace=True, **kwargs)
-                return time.perf_counter() - start
-            finally:
-                gc.enable()
-
-        def measured_ratio():
-            # Interleave the two modes and keep the best of five rounds
-            # each, so one background hiccup cannot skew either side.
-            reference_seconds = []
-            fast_seconds = []
-            for _ in range(5):
-                reference_seconds.append(timed(fast_dispatch=False))
-                fast_seconds.append(timed(fast_dispatch=True))
-            return min(reference_seconds) / min(fast_seconds)
-
-        ratio = measured_ratio()
-        if ratio < 2.0:
-            # One remeasure before failing: a loaded shared runner can
-            # depress a single sample set, and this bar guards a property
-            # (typical 2.5-3.5x locally), not a scheduler.
-            ratio = max(ratio, measured_ratio())
-        assert ratio >= 2.0
+        assert Machine(program).dispatch == "block"
+        assert Machine(program, dispatch="reference").dispatch == "reference"
+        # The retired tier name no longer selects anything.
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", "fast")
+        with pytest.raises(ValueError):
+            Machine(program)
 
 
 class TestBlockDispatch:
     """The block-compiled tier must be indistinguishable from the reference
-    loop (and the fast tier) — records, counters, outputs, failure modes."""
+    loop — records, counters, outputs, observed values, failure modes."""
 
-    def _run_all_tiers(self, program, **kwargs):
+    def _run_both_tiers(self, program, **kwargs):
         machine = Machine(program)
         return {
             tier: machine.run(collect_trace=True, dispatch=tier, **kwargs)
-            for tier in ("reference", "fast", "block")
+            for tier in ("reference", "block")
         }
+
+    def _assert_runs_match(self, runs):
+        reference, block = runs["reference"], runs["block"]
+        assert block.instructions == reference.instructions
+        assert block.output == reference.output
+        assert block.block_counts == reference.block_counts
+        assert block.call_counts == reference.call_counts
+        assert block.halted == reference.halted
+        assert block.trace.records == reference.trace.records
 
     @pytest.mark.parametrize("name", ("ijpeg", "li"))
     def test_traces_are_bit_identical_on_workloads(self, name, assert_tiers_agree):
@@ -358,17 +346,7 @@ class TestBlockDispatch:
         # Lockstep first: a bit-exactness failure reports the exact first
         # diverging step/uid instead of a summary mismatch.
         assert_tiers_agree(program, tiers=("reference", "block"))
-        assert_tiers_agree(program, tiers=("fast", "block"))
-        runs = self._run_all_tiers(program)
-        reference = runs["reference"]
-        for tier in ("fast", "block"):
-            other = runs[tier]
-            assert other.instructions == reference.instructions, tier
-            assert other.output == reference.output, tier
-            assert other.block_counts == reference.block_counts, tier
-            assert other.call_counts == reference.call_counts, tier
-            assert other.halted == reference.halted, tier
-            assert other.trace.records == reference.trace.records, tier
+        self._assert_runs_match(self._run_both_tiers(program))
 
     def test_dispatch_tier_resolution(self, monkeypatch):
         program = assemble_program(
@@ -381,25 +359,33 @@ entry:
         )
         monkeypatch.delenv("REPRO_SIM_DISPATCH", raising=False)
         assert Machine(program).dispatch == "block"
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "fast")
-        assert Machine(program).dispatch == "fast"
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
-        assert Machine(program).dispatch == "reference"
         monkeypatch.setenv("REPRO_SIM_DISPATCH", "block")
         assert Machine(program).dispatch == "block"
-        # Explicit arguments beat the environment; dispatch beats the
-        # legacy boolean; unknown tiers fail fast.
-        assert Machine(program, dispatch="fast").dispatch == "fast"
-        assert Machine(program, fast_dispatch=False).dispatch == "reference"
-        assert Machine(program, fast_dispatch=False, dispatch="block").dispatch == "block"
-        with pytest.raises(ValueError):
-            Machine(program, dispatch="turbo")
-        with pytest.raises(ValueError):
-            Machine(program).run(dispatch="turbo")
+        # The reference opt-out vocabulary is shared with
+        # REPRO_TIMING_KERNEL and REPRO_RESULT_STORE.
+        for alias in ("reference", "slow", "off", "0", "false", "disabled", "none", " Off "):
+            monkeypatch.setenv("REPRO_SIM_DISPATCH", alias)
+            assert Machine(program).dispatch == "reference", alias
+        # A retired tier name or a typo is rejected, naming what is accepted.
+        for bad in ("fast", "blok", "turbo"):
+            monkeypatch.setenv("REPRO_SIM_DISPATCH", bad)
+            with pytest.raises(ValueError, match="'block'.*'reference'"):
+                Machine(program)
+        # An explicit tier beats the environment (even a broken one);
+        # unknown explicit tiers fail fast.
+        assert Machine(program, dispatch="block").dispatch == "block"
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
+        assert Machine(program, dispatch="block").dispatch == "block"
+        assert Machine(program).run(dispatch="block").halted
+        for bad in ("fast", "turbo"):
+            with pytest.raises(ValueError, match="block, reference"):
+                Machine(program, dispatch=bad)
+            with pytest.raises(ValueError, match="block, reference"):
+                Machine(program).run(dispatch=bad)
 
     def test_limit_boundaries_exact_across_tiers(self):
         """SimulationLimitExceeded must fire at the same dynamic
-        instruction count in every tier, including limits landing in the
+        instruction count in both tiers, including limits landing in the
         middle of a basic block (the block tier hoists its limit check to
         block granularity)."""
         program = assemble_program(
@@ -428,49 +414,104 @@ done:
         for limit in range(1, total + 1):
             bounded = Machine(program, max_instructions=limit)
             outcomes = {}
-            for tier in ("reference", "fast", "block"):
+            for tier in ("reference", "block"):
                 try:
                     bounded.run(dispatch=tier)
                     outcomes[tier] = "completed"
                 except SimulationLimitExceeded as error:
                     outcomes[tier] = str(error)
-            assert outcomes["fast"] == outcomes["reference"], limit
             assert outcomes["block"] == outcomes["reference"], limit
         assert Machine(program, max_instructions=total).run().halted
 
     def test_value_observer_falls_back_bit_exact(self):
-        """Profiling runs take the fast tier under block dispatch; the
-        observed value stream must match the reference loop exactly."""
+        """Profiling runs stay on the block tier, with ``observe`` calls
+        compiled into the units; the observed value stream must match the
+        reference loop exactly, across loops, calls (the return address
+        is a CALL's result) and raw 64-bit MOV immediates."""
+        from repro.isa import Imm
+
         program = assemble_program(
             """
+.func helper 1
+entry:
+    mov v0, a0
+    ret
+.endfunc
 .func main 0
 entry:
     li r1, 0
 loop:
     add r1, r1, 7
+    mov a0, r1
+    jsr helper
     cmplt r2, r1, 21
     bne r2, loop
 done:
     print r1
+    print v0
     halt
 .endfunc
 """
         )
         add = [i for i in program.functions["main"].instructions() if i.op.value == "add"][0]
+        mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
+        mov.srcs = (Imm(2**64 - 1),)
         tables = {}
         for tier in ("reference", "block"):
-            profiler = ValueProfiler({add.uid})
+            profiler = ValueProfiler(_uids(program))
             machine = Machine(program, dispatch=tier)
             run = machine.run(collect_trace=True, value_observer=profiler)
-            tables[tier] = (profiler.table(add.uid).entries, run.output, run.trace.records)
-        assert tables["block"][0] == tables["reference"][0] == {7: 1, 14: 1, 21: 1}
-        assert tables["block"][1] == tables["reference"][1]
-        assert tables["block"][2] == tables["reference"][2]
+            tables[tier] = (
+                {uid: vars(table) for uid, table in profiler.tables.items()},
+                run.output,
+                run.trace.records,
+            )
+        assert tables["block"] == tables["reference"]
+        assert profiler.table(add.uid).entries == {7: 1, 14: 1, 21: 1}
+        assert profiler.table(mov.uid).entries == {2**64 - 1: 3}
+
+    def test_observer_run_never_enters_reference_steps(self, monkeypatch):
+        """The block tier profiles values itself: a value-observer run on
+        a program without mid-block landings never touches the reference
+        stepper."""
+        workload = workload_by_name("li")
+        program = workload.build()
+        workload.apply_input(program, "train")
+
+        def probe(*args, **kwargs):
+            raise AssertionError("observer run entered the reference stepper")
+
+        monkeypatch.setattr(Machine, "_reference_steps", probe)
+        watched = _uids(program)
+        profiler = ValueProfiler(watched)
+        machine = Machine(program, dispatch="block")
+        run = machine.run(value_observer=profiler)
+        assert run.halted
+        assert profiler.profiled_points() > 0
+        assert list(machine._block_programs) == [(False, frozenset(watched))]
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_value_profiles_match_reference_on_train_inputs(self, name):
+        """Every instruction watched, on every suite workload's VRS train
+        input: the block tier's profiler tables equal the reference loop's."""
+        workload = workload_by_name(name)
+        program = workload.build()
+        workload.apply_input(program, "train")
+        tables = {}
+        for tier in ("reference", "block"):
+            profiler = ValueProfiler(_uids(program))
+            run = Machine(program, dispatch=tier).run(value_observer=profiler)
+            tables[tier] = (
+                {uid: vars(table) for uid, table in profiler.tables.items()},
+                run.instructions,
+                run.output,
+            )
+        assert tables["block"] == tables["reference"]
 
     def test_computed_return_mid_block_matches_reference(self):
         """A return address nobody's call produced lands mid-block; the
-        block tier finishes on its per-instruction landing pad with
-        identical results."""
+        block tier finishes on the resumed reference stepper with
+        identical results, observed values included."""
         program = assemble_program(
             """
 .func helper 0
@@ -483,19 +524,64 @@ entry:
     li r1, 7
     jsr helper
     add r1, r1, 100
+    sub r1, r1, 1
     print r1
     halt
 .endfunc
 """
         )
-        runs = self._run_all_tiers(program)
-        reference = runs["reference"]
-        assert reference.output == [7]  # the tampered return skips the add
-        for tier in ("fast", "block"):
-            assert runs[tier].output == reference.output, tier
-            assert runs[tier].instructions == reference.instructions, tier
-            assert runs[tier].block_counts == reference.block_counts, tier
-            assert runs[tier].trace.records == reference.trace.records, tier
+        observed = {}
+        runs = {}
+        for tier in ("reference", "block"):
+            profiler = ValueProfiler(_uids(program))
+            runs[tier] = Machine(program).run(
+                collect_trace=True, dispatch=tier, value_observer=profiler
+            )
+            observed[tier] = {uid: vars(table) for uid, table in profiler.tables.items()}
+        assert runs["reference"].output == [6]  # the tampered return skips the add
+        self._assert_runs_match(runs)
+        assert observed["block"] == observed["reference"]
+
+    def test_mid_block_landing_keeps_the_instruction_limit(self, monkeypatch):
+        """The resumed reference stepper counts from the landing point, so
+        the limit fires at the same dynamic instruction as the reference."""
+        program = assemble_program(
+            """
+.func helper 0
+entry:
+    add ra, ra, 4
+    ret
+.endfunc
+.func main 0
+entry:
+    li r1, 0
+    jsr helper
+    add r1, r1, 100
+    add r1, r1, 200
+spin:
+    add r1, r1, 1
+    br spin
+.endfunc
+"""
+        )
+        landings = []
+        real_steps = Machine._reference_steps
+
+        def spy(self, *args, **kwargs):
+            landings.append(args[8])  # the resume instruction count
+            return real_steps(self, *args, **kwargs)
+
+        errors = {}
+        for limit in (3, 4, 5, 6, 1000):
+            for tier in ("reference", "block"):
+                with pytest.raises(SimulationLimitExceeded) as excinfo:
+                    Machine(program, max_instructions=limit).run(dispatch=tier)
+                errors[tier] = str(excinfo.value)
+            assert errors["block"] == errors["reference"], limit
+        monkeypatch.setattr(Machine, "_reference_steps", spy)
+        with pytest.raises(SimulationLimitExceeded):
+            Machine(program, max_instructions=1000).run(dispatch="block")
+        assert landings == [4]  # li, jsr, add ra, ret — then the landing
 
     def test_mov_out_of_range_immediate_matches_reference(self):
         """Raw 64-bit immediates overflow the batched arena extend; the
@@ -516,7 +602,7 @@ entry:
         )
         mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
         mov.srcs = (Imm(2**64 - 1),)
-        runs = self._run_all_tiers(program)
+        runs = self._run_both_tiers(program)
         assert runs["block"].output == runs["reference"].output == [0]
         assert runs["block"].trace.records == runs["reference"].trace.records
         assert runs["block"].trace.has_overflow_values
@@ -526,7 +612,7 @@ entry:
             """
 .func main 0
 entry:
-    li r1, 0
+    li r1, 1
     beq r1, next
 next:
     print r1
@@ -534,19 +620,28 @@ next:
 .endfunc
 """
         )
+        # Prune the branch's target after validation, as a transform
+        # dropping a dead block would; compilation must not choke on it.
         beq = [i for i in program.functions["main"].instructions() if i.op.value == "beq"][0]
         beq.target = "ghost"
+        # Never taken: both tiers run to completion identically.
+        runs = self._run_both_tiers(program)
+        assert runs["reference"].output == [1]
+        self._assert_runs_match(runs)
+
+        # Taken: both tiers fail identically (same KeyError key).
+        li = [i for i in program.functions["main"].instructions() if i.op.value == "li"][0]
+        li.srcs = (type(li.srcs[0])(0),)  # cond == 0 -> beq taken
         errors = {}
-        for tier in ("reference", "fast", "block"):
+        for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
                 Machine(program).run(dispatch=tier)
             errors[tier] = excinfo.value.args
-        assert errors["fast"] == errors["reference"]
-        assert errors["block"] == errors["reference"]
+        assert errors["block"] == errors["reference"] == (("main", "ghost"),)
 
         # Dead call: a jsr whose callee was removed must raise the same
-        # KeyError in every tier (after the return-address write, before
-        # any call counting or emission).
+        # KeyError in both tiers (after the return-address write, before
+        # any call counting, observation or emission).
         call_program = assemble_program(
             """
 .func helper 0
@@ -567,12 +662,13 @@ entry:
         ][0]
         jsr.target = "removed"
         call_errors = {}
-        for tier in ("reference", "fast", "block"):
+        for tier in ("reference", "block"):
+            profiler = ValueProfiler({jsr.uid})
             with pytest.raises(KeyError) as excinfo:
-                Machine(call_program).run(dispatch=tier)
+                Machine(call_program).run(dispatch=tier, value_observer=profiler)
             call_errors[tier] = excinfo.value.args
-        assert call_errors["fast"] == call_errors["reference"] == ("removed",)
-        assert call_errors["block"] == call_errors["reference"]
+            assert profiler.table(jsr.uid) is None, tier
+        assert call_errors["block"] == call_errors["reference"] == ("removed",)
 
     def test_instruction_limit_enforced(self):
         program = assemble_program(
@@ -585,3 +681,44 @@ entry:
         )
         with pytest.raises(SimulationLimitExceeded):
             Machine(program, max_instructions=100).run(dispatch="block")
+
+    @pytest.mark.slow
+    def test_speedup_over_reference_loop(self):
+        """The block tier must stay well ahead of the reference loop on a
+        trace-collecting run (the configuration the headline benchmark
+        exercises); ``benchmarks/bench_sim.py`` holds the tighter bar."""
+        workload = workload_by_name("go")
+        program = workload.build()
+        workload.apply_input(program, "ref")
+        machine = Machine(program)
+
+        def timed(tier):
+            # The cyclic collector fires on allocation volume and its pauses
+            # depend on how much unrelated live heap the test session has
+            # accumulated; keep it out of the measured region.
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                machine.run(collect_trace=True, dispatch=tier)
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+
+        def measured_ratio():
+            # Interleave the two tiers and keep the best of five rounds
+            # each, so one background hiccup cannot skew either side.
+            reference_seconds = []
+            block_seconds = []
+            for _ in range(5):
+                reference_seconds.append(timed("reference"))
+                block_seconds.append(timed("block"))
+            return min(reference_seconds) / min(block_seconds)
+
+        ratio = measured_ratio()
+        if ratio < 4.0:
+            # One remeasure before failing: a loaded shared runner can
+            # depress a single sample set, and this bar guards a property
+            # (typically 8-10x locally), not a scheduler.
+            ratio = max(ratio, measured_ratio())
+        assert ratio >= 4.0

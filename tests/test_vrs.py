@@ -1,5 +1,7 @@
 """Tests for VRS: energy model, candidates, specialization transform, folding."""
 
+import pytest
+
 from repro.core import (
     ALU_ENERGY_SAVINGS_NJ,
     EnergyModel,
@@ -15,6 +17,7 @@ from repro.ir import IRBuilder, Program, validate_function
 from repro.isa import Instruction, Opcode, Reg, Width
 from repro.minic import compile_source
 from repro.sim import Machine, ValueProfiler, ValueTable
+from repro.workloads import SUITE_NAMES, workload_by_name
 
 
 class TestEnergyModel:
@@ -204,3 +207,34 @@ class TestVrsPipeline:
         # Figure 4/5 bookkeeping stays consistent.
         assert result.points_specialized == len(result.records)
         assert result.static_specialized_instructions >= 0
+
+
+@pytest.mark.suite
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_vrs_is_identical_on_both_simulator_tiers(name, monkeypatch):
+    """VRS's train and value-profiling runs take the block tier; the
+    candidates, outcomes, specializations and post-VRS widths must equal
+    those obtained by profiling on the reference loop."""
+    import itertools
+
+    import repro.core.specialize as specialize_module
+    import repro.isa.instruction as instruction_module
+
+    results = {}
+    for tier in ("reference", "block"):
+        # Restart the process-global uid and specialization-id counters so
+        # both pipelines allocate identical ones.
+        monkeypatch.setattr(instruction_module, "_UID_COUNTER", itertools.count(1 << 40))
+        monkeypatch.setattr(specialize_module, "_counter", 0)
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", tier)
+        workload = workload_by_name(name)
+        program = workload.build()
+        workload.apply_input(program, "train")
+        result = run_vrs(program)
+        results[tier] = (
+            result.candidates,
+            result.outcomes,
+            result.records,
+            result.vrp_after.widths,
+        )
+    assert results["block"] == results["reference"]
