@@ -4,7 +4,7 @@ sequential per-config replay path.
 Before the sweep engine, an analysis-only sweep over N uarch configs
 replayed each stored trace through the timing pipeline N separate
 times: per config, decode the snapshot and run ``replay_summary``
-(single-config timing walk + fused accounting + distribution
+(one-lane timing walk + fused accounting + distribution
 aggregation).  The sweep engine decodes once, scores all configs in one
 multi-config kernel pass (``run_compiled_many`` walks shared-shape
 lanes together, sharing the fetch/cache/predictor streams and eliding
@@ -18,8 +18,8 @@ latencies, a Figure-15-style grid) on two suite workloads, and the
 batched side must stay >=3x cheaper per point on the better workload —
 the CI-enforced floor behind the sweep engine's
 thousands-of-points-per-minute claim.  The kernel-only lane-batch ratio
-(run_compiled_many vs per-config run_compiled, no decode or
-accounting) is recorded in ``extra_info``: lane batching alone is a
+(run_compiled_many over the whole axis vs one one-lane walk per config,
+no decode or accounting) is recorded in ``extra_info``: lane batching alone is a
 modest win; the floor comes from amortising the decode, accounting and
 aggregation across the whole config axis.
 """
@@ -182,7 +182,7 @@ def test_batched_sweep_per_point_speedup(benchmark, snapshots):
     benchmark.extra_info["per_point_speedup_best"] = round(ratio, 2)
 
     # Kernel-only lane-batch ratio (not part of the bar): batched
-    # multi-config walk vs N single-config compiled walks, warm trace.
+    # multi-lane walks vs N one-lane walks, warm trace.
     workload, blob = next(iter(prepared.values()))
     trace = decode_artifact(blob).trace
     batch_s = _timed(_sweep_timings, trace, configs)

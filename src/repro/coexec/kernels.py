@@ -1,12 +1,14 @@
 """First-divergence bisection for the analysis kernels.
 
 The simulator tiers are one replication hazard; the analysis kernels are
-the other.  The timing model has three implementations that promise
+the other.  The timing model has two implementations that promise
 bit-identical :class:`~repro.uarch.TimingResult` streams — the readable
-reference walk (:meth:`OutOfOrderModel.run_reference`), the compiled walk
-(:func:`run_compiled`) and one lane of the multi-configuration walk
-(:func:`run_compiled_many`) — and the energy accountant has the
-per-policy and fused multi-policy walks.  When two of them disagree over
+reference walk (:meth:`OutOfOrderModel.run_reference`) and the generated
+trace walk of :mod:`repro.uarch.tkernel`, compared here both as a
+one-lane walk (:func:`run_compiled`) and as one lane of a two-lane walk
+(:func:`run_compiled_many`), which are different generated sources —
+and the energy accountant has the per-policy and fused multi-policy
+walks.  When two of them disagree over
 a full trace, the summary diff says nothing about *where* the streams
 split, so :func:`compare_timing` / :func:`compare_accounting` bisect over
 trace prefixes: both kernels are pure functions of the trace prefix, so
@@ -46,10 +48,9 @@ __all__ = [
 ]
 
 #: The timing-kernel implementations the comparator can pit against each
-#: other.  ``compiled-lane`` runs the multi-configuration kernel with a
-#: companion config alongside the one under test, so the genuinely
-#: multi-lane walk executes (a single deduplicated config would fall back
-#: to ``run_compiled``).
+#: other.  ``compiled`` is the one-lane walk; ``compiled-lane`` runs a
+#: companion config alongside the one under test, so a two-lane walk —
+#: shared front end, per-lane scoreboards — executes instead.
 TIMING_COMPARATORS = ("reference", "compiled", "compiled-lane")
 
 
@@ -57,8 +58,8 @@ def _companion(config: MachineConfig) -> MachineConfig:
     """A second config in the same lane-shape group as *config*.
 
     Differs only in a cycle-valued parameter, which keeps both configs in
-    one ``_lane_shape`` group of :func:`run_compiled_many` — forcing the
-    true multi-lane walk rather than the single-config fallback.
+    one ``_lane_shape`` group of :func:`run_compiled_many` — forcing a
+    two-lane walk rather than a one-lane one.
     """
     return dataclasses.replace(
         config, mispredict_redirect_penalty=config.mispredict_redirect_penalty + 1

@@ -10,8 +10,7 @@ one engine round-trip per point:
   trace signature,
 * one multi-config timing-kernel walk per shape group of machine
   configurations (:func:`repro.uarch.tkernel.run_compiled_many` — every
-  lane bit-exact against the single-config compiled kernel and the
-  reference scoreboard walk),
+  lane bit-exact against the reference scoreboard walk),
 * one fused energy-accounting trace walk per trace, branched per
   machine configuration from shared totals
   (:meth:`repro.power.MultiPolicyEnergyAccountant.account_many`).

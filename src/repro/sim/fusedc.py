@@ -253,8 +253,9 @@ class FusedProgram:
 def timing_from_counters(counters: tuple, instructions: int) -> "TimingResult":
     """Build a :class:`TimingResult` from the kernel's 11-counter tuple.
 
-    Same field mapping as :func:`repro.uarch.tkernel.run_compiled` — the
-    fused tier's ``_finalize()`` returns the identical tuple shape.
+    Same field mapping as :func:`repro.uarch.tkernel.run_compiled_many`
+    applies to one lane — the fused tier's ``_finalize()`` returns the
+    trace walk's 11-counter tuple shape.
     """
     from ..uarch.ooo import TimingResult
 
@@ -331,6 +332,14 @@ _CONST_VALUE = re.compile(r"^\(?(-?\d+)\)?$")
 #: significance is already cached in the ``rsig`` list.
 _REG_VALUE = re.compile(r"^r(\d+)$")
 
+#: log2 of the initial capacity of the spliced slot-allocator rings.
+#: 16384 cycles is far beyond any reachable issue-to-fetch span of the
+#: Table 2 machine (the 64-entry window bounds it to a few thousand
+#: cycles even on pathological miss chains); the rings grow on a live
+#: collision regardless, so this is a sizing hint, not a correctness
+#: bound.
+_RING_BITS = 14
+
 #: Process-wide source→code-object cache.  ``compile()`` of a fused
 #: source dominates cold compile cost (~0.13 s for a suite workload);
 #: the generated text is a complete fingerprint of everything that
@@ -391,16 +400,16 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
 
     The unit decomposition, straight-line simulation code and control
     tails mirror :func:`repro.sim.blockc.compile_blocks` exactly; the
-    per-record timing updates mirror the compiled kernel
-    :func:`repro.uarch.tkernel.compile_kernel` generates for *config*
-    (same helpers, same literals, same state-update order).  ``probe``
+    per-record timing updates run the scoreboard arithmetic of the
+    trace walk in :mod:`repro.uarch.tkernel` for *config* (same ring
+    and cache helpers, same config literals), with each record's pc,
+    fetch line and cache tags folded in as literals as well.  ``probe``
     additionally emits a per-record snapshot of the timing counters into
     a caller-supplied sink — the hook ``compare_fused`` uses to bisect a
     divergence to the exact record.
     """
     from ..uarch.config import MachineConfig
     from ..uarch.tkernel import (
-        _RING_BITS,
         _div,
         _fu_probe,
         _grow_ring,

@@ -86,10 +86,11 @@ __all__ = [
 #: Recognized interpreter tiers: the production path, then the oracle.
 DISPATCH_TIERS = ("block", "reference")
 
-#: ``REPRO_SIM_DISPATCH`` spellings that select the reference loop (a
-#: superset of ``REPRO_RESULT_STORE``'s disabled values, shared with
-#: ``REPRO_TIMING_KERNEL``'s opt-out vocabulary).
-_REFERENCE_ALIASES = ("reference", "slow", "0", "off", "false", "disabled", "none")
+#: Spellings that select the oracle tier, shared by
+#: ``REPRO_SIM_DISPATCH`` (the reference loop) and
+#: ``REPRO_TIMING_KERNEL`` (the reference scoreboard); a superset of
+#: ``REPRO_RESULT_STORE``'s disabled values.
+_REFERENCE_ALIASES = ("reference", "ref", "slow", "0", "off", "false", "disabled", "none")
 
 #: Base address of the (virtual) code segment; instructions are 4 bytes.
 CODE_BASE_ADDRESS = 0x1000

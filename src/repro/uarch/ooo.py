@@ -36,8 +36,9 @@ The model comes in **two kernel tiers** (see ``docs/timing.md``):
 
 Select a tier per model (``OutOfOrderModel(kernel=...)``), per run
 (``run(kernel=...)``) or process-wide with ``REPRO_TIMING_KERNEL``
-(``compiled`` — the default — or ``reference``/``slow``/``off``),
-mirroring the functional simulator's ``REPRO_SIM_DISPATCH`` tiers.
+(``compiled`` — the default — or ``reference``/``slow``/``off``; any
+other value raises ``ValueError``), mirroring the functional
+simulator's ``REPRO_SIM_DISPATCH`` tiers.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import Trace
+from ..sim.machine import _REFERENCE_ALIASES
 from ..sim.trace import FLAG_MEM, FLAG_TAKEN, FLAG_TAKEN_TRUE
 from .branch_predictor import CombinedPredictor
 from .caches import Cache, CacheHierarchy
@@ -63,14 +65,21 @@ TIMING_KERNELS = ("reference", "compiled")
 def _default_kernel() -> str:
     """Kernel tier selected by ``REPRO_TIMING_KERNEL`` (default: compiled).
 
-    The opt-out vocabulary mirrors ``REPRO_SIM_DISPATCH``'s reference
-    spellings, so either variable understands the same words; anything
-    else selects the compiled kernel.
+    Unset or ``compiled`` selects the compiled kernel and any reference
+    spelling shared with ``REPRO_SIM_DISPATCH`` the oracle; anything
+    else — a typo such as ``refrence`` — is a configuration error, so a
+    run meant for the oracle can never silently time on the compiled
+    kernel.
     """
-    value = os.environ.get("REPRO_TIMING_KERNEL", "").lower()
-    if value in ("reference", "ref", "slow", "0", "off", "false", "disabled", "none"):
+    value = os.environ.get("REPRO_TIMING_KERNEL", "").strip().lower()
+    if value in ("", "compiled"):
+        return "compiled"
+    if value in _REFERENCE_ALIASES:
         return "reference"
-    return "compiled"
+    raise ValueError(
+        f"unknown REPRO_TIMING_KERNEL value {value!r}; expected 'compiled' or one of "
+        f"{', '.join(repr(alias) for alias in _REFERENCE_ALIASES)}"
+    )
 
 
 class _Slots:

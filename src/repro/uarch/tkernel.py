@@ -5,11 +5,14 @@ Runs the *same scoreboard arithmetic* as the reference walk in
 **generated, per-configuration Python source** (the same technique the
 simulator's block compiler uses) driven off precomputed packed data:
 
-* **Specialized walk source** (:data:`KERNEL_TEMPLATE`): every machine
-  parameter is baked in as a literal, power-of-two cache/line/window
-  arithmetic compiles to shifts and masks, and only the configured
-  cache-associativity variant is emitted.  Compiled once per
-  (config, address-mode) pair and cached for the process.
+* **One generated walk** (:func:`_kernel_source`): a tuple of machine
+  configs sharing cache geometry, predictor and address mode becomes
+  one walk over the trace with one scoreboard *lane* per config.  Every
+  machine parameter is baked in as a literal, power-of-two
+  cache/line/window arithmetic compiles to shifts and masks, and only
+  the group's cache-associativity variant is emitted.  Compiled once
+  per (config tuple, address mode) and cached for the process;
+  :func:`run_compiled` is the one-lane case of :func:`run_compiled_many`.
 
 * **Packed static table** (:class:`StaticTable`): the per-uid facts the
   walk needs (latency, functional-unit class, class bits, destination
@@ -47,10 +50,11 @@ simulator's block compiler uses) driven off precomputed packed data:
   :class:`~repro.uarch.branch_predictor.CombinedPredictor`.
 
 Every counter (accesses, misses, lookups, mispredictions, loads,
-stores) and every cycle is bit-exact against the reference walk — the
-differential harness in ``tests/test_uarch_timing.py`` asserts
-field-for-field :class:`TimingResult` equality on hypothesis-generated
-programs and on every suite workload.  Select the kernel with
+stores) and every cycle of every lane is bit-exact against the
+reference walk — the differential harness in
+``tests/test_uarch_timing.py`` asserts field-for-field
+:class:`TimingResult` equality on hypothesis-generated programs and on
+every suite workload.  Select the kernel with
 ``REPRO_TIMING_KERNEL=reference|compiled`` (compiled is the default);
 see ``docs/timing.md``.
 """
@@ -87,18 +91,18 @@ HOT_CONDITIONAL = 1 << 13
 HOT_CALL_RETURN = 1 << 14
 HOT_DEST_SHIFT = 16  # bits 16+: dest_reg + 1 (0 = no producer-visible dest)
 
-#: Test masks the kernel template bakes in as literals (768, 3072, 20480).
+#: Test masks the generated walk bakes in as literals (768, 3072, 20480).
 HOT_FU = HOT_IMUL | HOT_MEM
 HOT_LS = HOT_LOAD | HOT_STORE
 HOT_CTRL = HOT_BRANCH | HOT_CALL_RETURN
 
-#: log2 of the initial ring capacity of the issue-family slot
-#: allocators.  16384 cycles is far beyond any reachable issue-to-fetch
-#: span of the Table 2 machine (the 64-entry window bounds it to a few
-#: thousand cycles even on pathological miss chains); the rings grow on
-#: collision regardless, so this is a sizing hint, not a correctness
-#: bound.  Tests shrink it to force the growth path.
-_RING_BITS = 14
+#: log2 of the initial capacity of each lane's slot-allocator rings.
+#: Every lane allocates up to four rings and a walk carries up to
+#: :data:`MULTI_KERNEL_MAX_LANES` lanes, so the rings start small; they
+#: grow on a live collision (:func:`_grow_ring`), which makes this a
+#: sizing hint, not a correctness bound.  Tests shrink it to force the
+#: growth path.
+_RING_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -265,231 +269,6 @@ def _grow_ring(
     return new_cycle_at, new_count, mask
 
 
-#: Source template of the specialized walk.  ``_walk_source`` formats
-#: the config into it: scalar parameters become literals, pow2
-#: divisions become shifts/masks, and only the configured cache
-#: associativity variant is emitted.  The scoreboard arithmetic is the
-#: reference walk's, line for line — see ``OutOfOrderModel.run_reference``.
-KERNEL_TEMPLATE = """\
-def _timing_walk(rows, addresses, mem_column, static_of, base, num_regs):
-    {I_SETUP}
-    {D_SETUP}
-    l2_ways = [[] for _ in range({L2_SETS})]
-    i_accesses = i_misses = d_accesses = d_misses = l2_accesses = l2_misses = 0
-
-    gshare = [1] * {G_ENTRIES}
-    bimodal = [1] * {B_ENTRIES}
-    selector = [2] * {S_ENTRIES}
-    history = 0
-    lookups = mispredictions = 0
-
-    iss_cycle_at, iss_count, iss_mask = (
-        [-1] * {RING_CAPACITY}, [0] * {RING_CAPACITY}, {RING_CAPACITY} - 1
-    )
-    alu_cycle_at, alu_count, alu_mask = (
-        [-1] * {RING_CAPACITY}, [0] * {RING_CAPACITY}, {RING_CAPACITY} - 1
-    )
-    mul_cycle_at, mul_count, mul_mask = (
-        [-1] * {RING_CAPACITY}, [0] * {RING_CAPACITY}, {RING_CAPACITY} - 1
-    )
-    lsq_cycle_at, lsq_count, lsq_mask = (
-        [-1] * {RING_CAPACITY}, [0] * {RING_CAPACITY}, {RING_CAPACITY} - 1
-    )
-    iss_skip_from = iss_skip_to = -1
-    alu_skip_from = alu_skip_to = -1
-    mul_skip_from = mul_skip_to = -1
-    lsq_skip_from = lsq_skip_to = -1
-    commit_frontier = -1
-    commit_used = 0
-
-    reg_ready = [0] * num_regs
-    window_commits = [0] * {WINDOW}
-    window_index = 0
-    mem_cursor = 0
-    fetch_cycle = 0
-    fetched_in_cycle = 0
-    current_fetch_line = -1
-    redirect_cycle = 0
-    floor = {FRONTEND}  # = fetch_cycle + frontend depth, kept in step
-    loads = stores = 0
-
-    {LOOP_HEADER}
-        {EXTRACT}
-
-        # ----------------------------------------------------- fetch
-        if redirect_cycle:
-            # The reference keeps redirect_cycle forever and re-maxes
-            # it against fetch_cycle every record; consuming (zeroing)
-            # it at the next fetch is equivalent: once applied,
-            # fetch_cycle is at least the redirect, so the reference's
-            # max() never fires again for it.
-            if redirect_cycle > fetch_cycle:
-                fetch_cycle = redirect_cycle
-                fetched_in_cycle = 0
-                floor = fetch_cycle + {FRONTEND}
-            redirect_cycle = 0
-        {LINE_STMT}if line != current_fetch_line:
-            current_fetch_line = line
-{I_ACCESS}
-            if latency < 0:
-{I_L2}
-            if latency > {I_HIT}:
-                fetch_cycle += latency - {I_HIT}
-                fetched_in_cycle = 1
-                floor = fetch_cycle + {FRONTEND}
-            elif fetched_in_cycle >= {FETCH_WIDTH}:
-                fetch_cycle += 1
-                fetched_in_cycle = 1
-                floor += 1
-            else:
-                fetched_in_cycle += 1
-        elif fetched_in_cycle >= {FETCH_WIDTH}:
-            fetch_cycle += 1
-            fetched_in_cycle = 1
-            floor += 1
-        else:
-            fetched_in_cycle += 1
-
-        # ---------------------------------------- dispatch and issue
-        ready = window_commits[window_index]
-        if ready < floor:
-            ready = floor
-        for reg in srcs:
-            producer_complete = reg_ready[reg]
-            if producer_complete > ready:
-                ready = producer_complete
-        cycle = ready
-{ISSUE_PROBE}
-        if hot & 768:  # off the ALU pool: mul or load/store queue
-            if hot & 512:
-{LSQ_PROBE}
-            else:
-{MUL_PROBE}
-        else:
-{ALU_PROBE}
-
-        # -------------------------------------------------- execute
-        if hot & 3072:  # load or store
-            if hot & 1024:
-                loads += 1
-            else:
-                stores += 1
-            if meta & 2:  # FLAG_MEM: the record carries an address
-                mem_address = mem_column[mem_cursor] & {UINT64}
-                mem_cursor += 1
-{D_ACCESS}
-                if latency < 0:
-{D_L2}
-                if hot & 2048:  # stores retire from the store queue
-                    latency = 1
-            else:
-                latency = hot & 255
-        else:
-            latency = hot & 255
-            if meta & 2:
-                # Non-load/store record carrying a memory address:
-                # consume it so the sparse-column cursor stays aligned.
-                mem_cursor += 1
-        complete = cycle + latency
-
-        # --------------------------------------------------- commit
-        # retire_slots.allocate(max(complete, last_commit)), where
-        # last_commit == commit_frontier: retire probes are monotone,
-        # so the allocator is the frontier (cycle, used) pair.
-        if complete > commit_frontier:
-            commit_frontier = complete
-            commit_used = 1
-        elif commit_used >= {RETIRE_WIDTH}:
-            commit_frontier += 1
-            commit_used = 1
-        else:
-            commit_used += 1
-        window_commits[window_index] = commit_frontier
-        {WINDOW_WRAP}
-
-        dest = hot >> 16  # dest_reg + 1; 0 when absent
-        if dest:
-            reg_ready[dest - 1] = complete
-
-        # -------------------------------------------------- branches
-        if hot & 20480:  # branch or call/return
-            if hot & 4096 and meta & 4:  # branch with a taken flag
-                if hot & 8192:  # conditional: predictor.update inline
-                    taken = meta & 8
-                    {PC_STMT}
-                    gkey = (pc ^ history) & {G_MASK}
-                    bkey = pc & {B_MASK}
-                    skey = pc & {S_MASK}
-                    gshare_prediction = gshare[gkey] >= 2
-                    bimodal_prediction = bimodal[bkey] >= 2
-                    if selector[skey] >= 2:
-                        prediction = gshare_prediction
-                    else:
-                        prediction = bimodal_prediction
-                    lookups += 1
-                    if taken:
-                        if gshare_prediction != bimodal_prediction:
-                            counter = selector[skey]
-                            if gshare_prediction:
-                                if counter < 3:
-                                    selector[skey] = counter + 1
-                            elif counter > 0:
-                                selector[skey] = counter - 1
-                        counter = gshare[gkey]
-                        if counter < 3:
-                            gshare[gkey] = counter + 1
-                        counter = bimodal[bkey]
-                        if counter < 3:
-                            bimodal[bkey] = counter + 1
-                        history = ((history << 1) | 1) & {HISTORY_MASK}
-                        if not prediction:
-                            mispredictions += 1
-                            redirect_cycle = complete + {MISPREDICT_PENALTY}
-                            current_fetch_line = -1
-                    else:
-                        if gshare_prediction != bimodal_prediction:
-                            counter = selector[skey]
-                            if gshare_prediction:
-                                if counter > 0:
-                                    selector[skey] = counter - 1
-                            elif counter < 3:
-                                selector[skey] = counter + 1
-                        counter = gshare[gkey]
-                        if counter > 0:
-                            gshare[gkey] = counter - 1
-                        counter = bimodal[bkey]
-                        if counter > 0:
-                            bimodal[bkey] = counter - 1
-                        history = (history << 1) & {HISTORY_MASK}
-                        if prediction:
-                            mispredictions += 1
-                            redirect_cycle = complete + {MISPREDICT_PENALTY}
-                            current_fetch_line = -1
-            elif hot & 16384 and meta & 8:  # taken call/return redirect
-                # A pending redirect was either just applied (making it
-                # at most fetch_cycle) or never set, so the reference's
-                # max(redirect, fetch + 1) is always fetch_cycle + 1.
-                redirect_cycle = fetch_cycle + 1
-                current_fetch_line = -1
-
-    last_commit = commit_frontier if commit_frontier >= 0 else 0
-    cycles = (last_commit if last_commit > fetch_cycle else fetch_cycle) + 1
-    return (
-        cycles,
-        lookups,
-        mispredictions,
-        i_accesses,
-        i_misses,
-        d_accesses,
-        d_misses,
-        l2_accesses,
-        l2_misses,
-        loads,
-        stores,
-    )
-"""
-
-
 def _div(value_expr: str, divisor: int) -> str:
     """Source expression dividing ``value_expr`` by ``divisor`` (shift if pow2)."""
     if divisor & (divisor - 1) == 0:
@@ -502,76 +281,6 @@ def _mod(value_expr: str, divisor: int) -> str:
     if divisor & (divisor - 1) == 0:
         return f"({value_expr} & {divisor - 1})"
     return f"({value_expr} % {divisor})"
-
-
-def _l1_access(prefix: str, cfg, line_expr: str, indent: str) -> str:
-    """Source for one inlined L1 access: sets ``latency`` (-1 = L1 miss).
-
-    ``line_expr`` is the cache-line number (the icache reuses the fetch
-    line — same geometry; the dcache derives it from the effective
-    address).  Two-way caches (the Table 2 shape) run on the flat
-    MRU/LRU tag lists; other associativities use the reference's
-    per-set LRU lists.
-    """
-    p = prefix
-    lines = [
-        f"{p}_accesses += 1",
-        f"{p}line = " + line_expr,
-        f"{p}set_ = " + _mod(f"{p}line", cfg.num_sets),
-        f"tag = " + _div(f"{p}line", cfg.num_sets),
-    ]
-    if cfg.associativity == 2:
-        lines += [
-            f"if tag == {p}_mru[{p}set_]:",
-            f"    latency = {cfg.hit_cycles}",
-            f"elif tag == {p}_lru[{p}set_]:",
-            f"    {p}_lru[{p}set_] = {p}_mru[{p}set_]",
-            f"    {p}_mru[{p}set_] = tag",
-            f"    latency = {cfg.hit_cycles}",
-            "else:",
-            f"    {p}_misses += 1",
-            f"    {p}_lru[{p}set_] = {p}_mru[{p}set_]",
-            f"    {p}_mru[{p}set_] = tag",
-            "    latency = -1",
-        ]
-    else:
-        lines += [
-            f"ways = {p}_ways[{p}set_]",
-            "if tag in ways:",
-            "    ways.remove(tag)",
-            "    ways.append(tag)",
-            f"    latency = {cfg.hit_cycles}",
-            "else:",
-            f"    {p}_misses += 1",
-            "    ways.append(tag)",
-            f"    if len(ways) > {cfg.associativity}:",
-            "        ways.pop(0)",
-            "    latency = -1",
-        ]
-    return "\n".join(indent + line for line in lines)
-
-
-def _l2_access(
-    l2cfg, line_expr: str, hit_latency: int, miss_latency: int, indent: str
-) -> str:
-    """Source for one shared-L2 access (reference per-set LRU lists)."""
-    lines = [
-        "l2_accesses += 1",
-        "l2line = " + line_expr,
-        "ways = l2_ways[" + _mod("l2line", l2cfg.num_sets) + "]",
-        "l2tag = " + _div("l2line", l2cfg.num_sets),
-        "if l2tag in ways:",
-        "    ways.remove(l2tag)",
-        "    ways.append(l2tag)",
-        f"    latency = {hit_latency}",
-        "else:",
-        "    l2_misses += 1",
-        "    ways.append(l2tag)",
-        f"    if len(ways) > {l2cfg.associativity}:",
-        "        ways.pop(0)",
-        f"    latency = {miss_latency}",
-    ]
-    return "\n".join(indent + line for line in lines)
 
 
 def _ring_probe(
@@ -596,9 +305,9 @@ def _ring_probe(
     exclusively on the full-cycle path, so unconstrained allocations
     pay nothing.
 
-    ``cycle_var``/``floor_var`` let the multi-config kernel probe a
-    lane-suffixed cycle against that lane's own monotone floor; the
-    single-config template uses the defaults.
+    ``cycle_var``/``floor_var`` name the probed cycle and its monotone
+    floor: the trace walk passes each lane's suffixed locals, the fused
+    splice (``repro.sim.fusedc``) its own cycle local.
     """
     n = name
     c = cycle_var
@@ -655,129 +364,6 @@ def _fu_probe(
     return _ring_probe(name, width, indent, cycle_var=cycle_var, floor_var=floor_var)
 
 
-def _walk_source(config: MachineConfig, derived: bool) -> str:
-    """Generate the specialized walk source for one machine config.
-
-    Every configuration scalar is baked in as a literal, power-of-two
-    divisions become shifts, and only the relevant cache-associativity
-    variant is emitted — the bytecode the interpreter runs is exactly
-    the arithmetic this machine needs, nothing more.
-
-    ``derived`` selects the address mode.  Simulator traces derive the
-    instruction address from the static uid, so the fetch-line number
-    and branch pc are *static* per-uid facts: the derived walk bakes
-    them into the per-uid tuples, iterates the meta column alone (no
-    address lane, no per-record line division) and reconstructs the
-    icache's L2 line from the fetch line.  Hand-built traces carry an
-    explicit address column and take the two-lane variant.
-    """
-    icfg, dcfg, l2cfg = config.icache, config.dcache, config.l2cache
-    pcfg = config.predictor
-    memory_latency = (
-        config.memory_first_chunk_cycles + 3 * config.memory_interchunk_cycles
-    )
-    i_miss = icfg.hit_cycles + icfg.miss_penalty_cycles
-    d_miss = dcfg.hit_cycles + dcfg.miss_penalty_cycles
-    l2_extra = l2cfg.miss_penalty_cycles + memory_latency
-    if derived:
-        loop_header = "for meta in rows:"
-        extract = "hot, line, pc, srcs = static_of[(meta >> 8) - base]"
-        line_stmt = ""
-        pc_stmt = "pass  # pc is baked into the static tuple"
-        # addr // l2_line == (addr // l1_line) // (l2_line // l1_line)
-        # exactly, because _derived_mode_supported checked divisibility.
-        i_l2_line = _div("line", l2cfg.line_bytes // icfg.line_bytes)
-    else:
-        loop_header = "for meta, address in zip(rows, addresses):"
-        extract = "hot, srcs = static_of[(meta >> 8) - base]"
-        line_stmt = "line = " + _div("address", icfg.line_bytes) + "\n        "
-        pc_stmt = "pc = address >> 2"
-        i_l2_line = _div("address", l2cfg.line_bytes)
-    window_wrap = (
-        "window_index = (window_index + 1) & " + str(config.max_in_flight - 1)
-        if config.max_in_flight & (config.max_in_flight - 1) == 0
-        else "window_index += 1\n"
-        + " " * 8
-        + f"if window_index == {config.max_in_flight}:\n"
-        + " " * 12
-        + "window_index = 0"
-    )
-    # The empty-way sentinel must be unreachable by any computed tag;
-    # tags are negative for negative (hand-built) addresses, so an int
-    # sentinel like -1 would alias a real tag.  None compares unequal
-    # to every int, exactly like the reference's empty way list.
-    i_setup = (
-        f"i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}"
-        if icfg.associativity == 2
-        else f"i_ways = [[] for _ in range({icfg.num_sets})]"
-    )
-    d_setup = (
-        f"d_mru, d_lru = [None] * {dcfg.num_sets}, [None] * {dcfg.num_sets}"
-        if dcfg.associativity == 2
-        else f"d_ways = [[] for _ in range({dcfg.num_sets})]"
-    )
-    return KERNEL_TEMPLATE.format(
-        LOOP_HEADER=loop_header,
-        EXTRACT=extract,
-        LINE_STMT=line_stmt,
-        PC_STMT=pc_stmt,
-        FETCH_WIDTH=config.fetch_width,
-        ISSUE_WIDTH=config.issue_width,
-        RETIRE_WIDTH=config.retire_width,
-        FRONTEND=config.frontend_depth,
-        WINDOW=config.max_in_flight,
-        WINDOW_WRAP=window_wrap,
-        MISPREDICT_PENALTY=config.mispredict_redirect_penalty,
-        RING_CAPACITY=1 << _RING_BITS,
-        I_SETUP=i_setup,
-        D_SETUP=d_setup,
-        I_ACCESS=_l1_access("i", icfg, "line", " " * 12),
-        I_L2=_l2_access(l2cfg, i_l2_line, i_miss, i_miss + l2_extra, " " * 16),
-        D_ACCESS=_l1_access(
-            "d", dcfg, _div("mem_address", dcfg.line_bytes), " " * 16
-        ),
-        D_L2=_l2_access(
-            l2cfg,
-            _div("mem_address", l2cfg.line_bytes),
-            d_miss,
-            d_miss + l2_extra,
-            " " * 20,
-        ),
-        ISSUE_PROBE=_ring_probe("iss", config.issue_width, " " * 8),
-        ALU_PROBE=_fu_probe("alu", config.int_alus, config.issue_width, " " * 12)
-        or (" " * 12 + "pass"),
-        MUL_PROBE=_fu_probe("mul", config.int_muls, config.issue_width, " " * 16)
-        or (" " * 16 + "pass"),
-        LSQ_PROBE=_fu_probe("lsq", config.lsq_ports, config.issue_width, " " * 16)
-        or (" " * 16 + "pass"),
-        I_HIT=icfg.hit_cycles,
-        L2_SETS=l2cfg.num_sets,
-        G_ENTRIES=pcfg.gshare_entries,
-        B_ENTRIES=pcfg.bimodal_entries,
-        S_ENTRIES=pcfg.selector_entries,
-        G_MASK=pcfg.gshare_entries - 1,
-        B_MASK=pcfg.bimodal_entries - 1,
-        S_MASK=pcfg.selector_entries - 1,
-        HISTORY_MASK=(1 << pcfg.history_bits) - 1,
-        UINT64=_UINT64,
-    )
-
-
-#: (MachineConfig, derived) -> compiled walk (configs are frozen/hashable).
-_WALK_CACHE: dict = {}
-
-
-def _walk_for(config: MachineConfig, derived: bool):
-    key = (config, derived)
-    walk = _WALK_CACHE.get(key)
-    if walk is None:
-        namespace = {"_grow_ring": _grow_ring}
-        exec(compile(_walk_source(config, derived), "<timing-kernel>", "exec"), namespace)
-        walk = namespace["_timing_walk"]
-        _WALK_CACHE[key] = walk
-    return walk
-
-
 def _derived_mode_supported(config: MachineConfig) -> bool:
     """Derived mode reconstructs the icache's L2 line from the fetch
     line, which is exact only when the L2 line size is a whole multiple
@@ -824,7 +410,7 @@ def _static_of_for(static: StaticInfo, table: StaticTable, addr_map, line_bytes:
         for index, (hot, srcs) in enumerate(zip(hot_list, srcs_list)):
             address = addr_map.get(base + index)
             if address is None:
-                # Unreachable after run_compiled's uid validation.
+                # Unreachable after the trace walk's uid validation.
                 static_of.append((hot, -1, 0, srcs))
             else:
                 static_of.append((hot, address // line_bytes, address >> 2, srcs))
@@ -832,72 +418,8 @@ def _static_of_for(static: StaticInfo, table: StaticTable, addr_map, line_bytes:
     return static_of
 
 
-def run_compiled(trace: Trace, config: MachineConfig | None = None):
-    """The compiled timing walk; bit-exact vs the reference scoreboard."""
-    from .ooo import TimingResult  # local import breaks the module cycle
-
-    config = config or MachineConfig()
-    static = trace.static
-    addr_map = trace.address_map
-    derived = (
-        trace.has_derived_addresses
-        and addr_map is not None
-        and _derived_mode_supported(config)
-    )
-    # Same up-front uid validation (and the same KeyError) as the
-    # reference walk: a record without a static entry must not silently
-    # index a hole or an unrelated entry, and a derived-address record
-    # without an address must fail exactly like the reference's
-    # address-column materialization does.
-    for uid in trace.uid_counts():
-        if static.get(uid) is None:
-            raise KeyError(uid)
-        if derived and uid not in addr_map:
-            raise KeyError(uid)
-
-    table = _table_for(static)
-    static_of = _static_of_for(
-        static, table, addr_map if derived else None, config.icache.line_bytes
-    )
-    walk = _walk_for(config, derived)
-    (
-        cycles,
-        lookups,
-        mispredictions,
-        i_accesses,
-        i_misses,
-        d_accesses,
-        d_misses,
-        l2_accesses,
-        l2_misses,
-        loads,
-        stores,
-    ) = walk(
-        trace.metas,
-        None if derived else trace.addresses(),
-        trace.mem_addresses,
-        static_of,
-        table.uid_base,
-        table.num_regs,
-    )
-    return TimingResult(
-        cycles=cycles,
-        instructions=len(trace),
-        branch_lookups=lookups,
-        branch_mispredictions=mispredictions,
-        icache_accesses=i_accesses,
-        icache_misses=i_misses,
-        dcache_accesses=d_accesses,
-        dcache_misses=d_misses,
-        l2_accesses=l2_accesses,
-        l2_misses=l2_misses,
-        loads=loads,
-        stores=stores,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Multi-config timing kernel: one trace walk, many machine-config lanes.
+# The trace walk: one pass over the trace, one scoreboard lane per config.
 #
 # Within a *shape group* — configs sharing cache geometries (line/sets/
 # associativity for L1I, L1D and L2), the predictor configuration and
@@ -908,29 +430,24 @@ def run_compiled(trace: Trace, config: MachineConfig | None = None):
 # redirect events.  Configs in a group may still differ in every
 # *cycle-valued* parameter: pipeline widths, window size, frontend
 # depth, mispredict penalty, functional-unit counts and all cache
-# latencies.  The multi-config kernel exploits this: the generated
+# latencies.  The walk exploits this: the generated
 # source walks the trace once, computes the shared stream once per
 # record, and carries one scoreboard *lane* per config (suffixed
 # locals, per-lane ring allocators) with that lane's constants baked
 # in as literals — so N configs cost one trace decode, one static
-# lookup, one cache/predictor simulation, plus N scoreboards.
+# lookup, one cache/predictor simulation, plus N scoreboards.  A single
+# config is a one-lane walk.
 # ---------------------------------------------------------------------------
 
-#: Lane cap per generated multi-config walk.  More lanes amortize the
+#: Lane cap per generated walk.  More lanes amortize the
 #: shared front-end further but grow the per-record bytecode body;
 #: beyond ~8 lanes the marginal win is noise while the generated source
 #: (and its compile time) keeps growing, so larger batches are chunked.
 MULTI_KERNEL_MAX_LANES = 8
 
-#: log2 of the initial per-lane ring capacity.  Smaller than the
-#: single-config kernel's ring (each lane allocates four rings, and a
-#: group allocates ``4 * lanes``); growth-on-live-collision keeps this
-#: a sizing hint, not a correctness bound.
-_MULTI_RING_BITS = 12
-
 
 def _lane_shape(config: MachineConfig, derived: bool) -> tuple:
-    """Grouping key under which configs can share a multi-config walk.
+    """Grouping key under which configs can share one walk.
 
     Everything the *shared* (per-group) generated code bakes in must be
     in the key: cache geometries, predictor table sizes/history and the
@@ -946,23 +463,33 @@ def _lane_shape(config: MachineConfig, derived: bool) -> tuple:
     )
 
 
-def _multi_walk_source(configs: tuple, derived: bool) -> str:
-    """Generate the lane-parallel walk source for one shape group.
+def _kernel_source(configs: tuple, derived: bool) -> str:
+    """Generate the walk source for one shape group of lane configs.
 
-    The per-record body is the single-config kernel's, reorganized:
-    shared sections (extract, fetch-line/icache, FU-class dispatch,
-    dcache, dest decode, branch/predictor) are emitted once and branch
-    into per-lane blocks (fetch accounting, dependence/issue probes,
-    completion, commit, redirect application) with each lane's scalar
-    parameters baked in as literals.  Bit-exactness per lane against
-    ``run_compiled``/``run_reference`` is asserted by the differential
-    tests in ``tests/test_uarch_timing.py``.
+    The per-record body is the reference scoreboard's
+    (``OutOfOrderModel.run_reference``), reorganized: shared sections
+    (extract, fetch-line/icache, FU-class dispatch, dcache, dest decode,
+    branch/predictor) are emitted once and branch into per-lane blocks
+    (fetch accounting, dependence/issue probes, completion, commit,
+    redirect application) with each lane's scalar parameters baked in as
+    literals.  Power-of-two divisions become shifts and masks, and only
+    the group's cache-associativity variant is emitted.  Bit-exactness
+    of every lane against ``run_reference`` is asserted by the
+    differential tests in ``tests/test_uarch_timing.py``.
+
+    ``derived`` selects the address mode.  Simulator traces derive the
+    instruction address from the static uid, so the fetch-line number
+    and branch pc are *static* per-uid facts: the derived walk reads
+    them from the per-uid tuples, iterates the meta column alone and
+    reconstructs the icache's L2 line from the fetch line.  Hand-built
+    traces carry an explicit address column and take the two-column
+    variant.
     """
     n = len(configs)
     shape = configs[0]
     icfg, dcfg, l2cfg = shape.icache, shape.dcache, shape.l2cache
     pcfg = shape.predictor
-    rc = 1 << _MULTI_RING_BITS
+    rc = 1 << _RING_BITS
     lanes = range(n)
     same_window = len({c.max_in_flight for c in configs}) == 1
     src: list[str] = []
@@ -977,9 +504,9 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
         return config.l2cache.miss_penalty_cycles + memory_latency
 
     def fetch_bump(config: MachineConfig, level: int) -> int:
-        # The single kernel bumps fetch by (latency - hit_cycles) when
-        # an instruction fetch missed: miss_penalty at L2-hit level,
-        # plus the L2 miss path's memory latency at L2-miss level.
+        # The reference bumps fetch by (latency - hit_cycles) when an
+        # instruction fetch missed: miss_penalty at L2-hit level, plus
+        # the L2 miss path's memory latency at L2-miss level.
         bump = config.icache.miss_penalty_cycles
         if level == 2:
             bump += l2_extra(config)
@@ -1006,7 +533,7 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
         # level 0: fetch hit (plain width accounting); level 1/2: the
         # lane stalls by its baked bump unless that bump is zero (a
         # zero-penalty lane treats the miss as a hit, exactly like the
-        # single kernel's ``latency > hit`` test).
+        # reference's ``latency > hit_cycles`` test).
         for lane in lanes:
             bump = fetch_bump(configs[lane], level) if level else 0
             if bump == 0:
@@ -1035,6 +562,12 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     def emit_load_complete(depth: int, level: int) -> None:
         # Stores retire from the store queue at latency 1 in every lane;
         # loads take the lane's baked latency for this hit/miss level.
+        # When every lane's load latency is 1 too (a one-cycle L1 hit),
+        # the load/store test is dead and elided.
+        if all(d_latency(config, level) == 1 for config in configs):
+            for lane in lanes:
+                emit(depth, f"c{lane} = cyc{lane} + 1")
+            return
         emit(depth, "if hot & 2048:")
         for lane in lanes:
             emit(depth + 1, f"c{lane} = cyc{lane} + 1")
@@ -1043,7 +576,11 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
             emit(depth + 1, f"c{lane} = cyc{lane} + {d_latency(configs[lane], level)}")
 
     # ----------------------------------------------------------- header
-    emit(0, "def _timing_walk_multi(rows, addresses, mem_column, static_of, base, num_regs):")
+    emit(0, "def _timing_walk(rows, addresses, mem_column, static_of, base, num_regs):")
+    # The empty-way sentinel must be unreachable by any computed tag;
+    # tags are negative for negative (hand-built) addresses, so an int
+    # sentinel like -1 would alias a real tag.  None compares unequal
+    # to every int, exactly like the reference's empty way list.
     if icfg.associativity == 2:
         emit(1, f"i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}")
     else:
@@ -1101,6 +638,8 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     if derived:
         emit(1, "for meta in rows:")
         emit(2, "hot, line, pc, srcs = static_of[(meta >> 8) - base]")
+        # addr // l2_line == (addr // l1_line) // (l2_line // l1_line)
+        # exactly, because _derived_mode_supported checked divisibility.
         i_l2_line = _div("line", l2cfg.line_bytes // icfg.line_bytes)
     else:
         emit(1, "for meta, address in zip(rows, addresses):")
@@ -1108,10 +647,12 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
         emit(2, "line = " + _div("address", icfg.line_bytes))
         i_l2_line = _div("address", l2cfg.line_bytes)
 
-    # Redirect application: the pending flag is set exactly when an
-    # event wrote every lane's redirect, so value-truthiness (the
-    # single kernel's consume test) and flag-truthiness coincide up to
-    # all-zero redirects, which apply as no-ops in either scheme.
+    # Redirect application.  The reference keeps redirect_cycle forever
+    # and re-maxes it against fetch_cycle every record; consuming it at
+    # the next fetch is equivalent, because once applied fetch is at
+    # least the redirect and the reference's max() never fires again
+    # for it.  The pending flag is set exactly when an event wrote every
+    # lane's redirect (an all-zero redirect applies as a no-op).
     emit(2, "if redirect_pending:")
     emit(3, "redirect_pending = False")
     for lane in lanes:
@@ -1274,7 +815,10 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     emit(3, "if meta & 2:")
     emit(4, "mem_cursor += 1")
 
-    # Per-lane commit (frontier pair) and window write.
+    # Per-lane commit and window write.  The reference's
+    # retire_slots.allocate(max(complete, last_commit)) probes are
+    # monotone, so each lane's allocator is a frontier (cycle, used)
+    # pair: cf/cu.
     for lane in lanes:
         config = configs[lane]
         wiv = "wi" if same_window else f"wi{lane}"
@@ -1373,6 +917,9 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     emit(6, f"history = (history << 1) & {history_mask}")
     emit(6, "if prediction:")
     emit_mispredict(7)
+    # Taken call/return: a pending redirect was either just applied
+    # (making it at most fetch) or never set, so the reference's
+    # max(redirect, fetch + 1) is always fetch + 1.
     emit(3, "elif hot & 16384 and meta & 8:")
     emit(4, "redirect_pending = True")
     for lane in lanes:
@@ -1400,62 +947,43 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     return "\n".join(src) + "\n"
 
 
-#: (lane-config tuple, derived) -> compiled multi-config walk.
-_MULTI_WALK_CACHE: dict = {}
+#: (lane-config tuple, derived) -> compiled walk (configs are frozen/hashable).
+_KERNEL_CACHE: dict = {}
 
 
-def _multi_walk_for(configs: tuple, derived: bool):
+def _kernel_for(configs: tuple, derived: bool):
     key = (configs, derived)
-    walk = _MULTI_WALK_CACHE.get(key)
+    walk = _KERNEL_CACHE.get(key)
     if walk is None:
         namespace = {"_grow_ring": _grow_ring}
-        exec(
-            compile(
-                _multi_walk_source(configs, derived),
-                "<timing-kernel-multi>",
-                "exec",
-            ),
-            namespace,
-        )
-        walk = namespace["_timing_walk_multi"]
-        _MULTI_WALK_CACHE[key] = walk
+        exec(compile(_kernel_source(configs, derived), "<timing-kernel>", "exec"), namespace)
+        walk = namespace["_timing_walk"]
+        _KERNEL_CACHE[key] = walk
     return walk
 
 
-def run_compiled_many(
-    trace: Trace,
-    configs,
-    *,
-    max_lanes: int | None = None,
-) -> list:
-    """Time ``trace`` under many machine configs in one batched walk.
+def _time_lanes(trace: Trace, configs) -> list:
+    """The body of :func:`run_compiled_many` and :func:`run_compiled`.
 
-    Order-preserving: ``results[i]`` corresponds to ``configs[i]``
-    (``None`` entries mean the default :class:`MachineConfig`), and
-    every result is field-for-field identical to
-    ``run_compiled(trace, configs[i])``.  Duplicate configs are timed
-    once; distinct configs are grouped by :func:`_lane_shape` so each
-    group shares one trace walk (front-end simulated once, one
-    scoreboard lane per config), chunked at ``max_lanes``
-    (:data:`MULTI_KERNEL_MAX_LANES` by default).  A config alone in its
-    shape group falls back to the single-config kernel.
+    Both public entry points call this rather than one another, so
+    wrapping either name (a profiler or span tracer does) sees each
+    timing call exactly once.
     """
     from .ooo import TimingResult  # local import breaks the module cycle
 
     resolved = [config or MachineConfig() for config in configs]
     if not resolved:
         return []
-    if max_lanes is None:
-        max_lanes = MULTI_KERNEL_MAX_LANES
-    if max_lanes < 1:
-        raise ValueError(f"max_lanes must be positive, got {max_lanes}")
 
     static = trace.static
     addr_map = trace.address_map
     has_derived = trace.has_derived_addresses and addr_map is not None
     uid_counts = trace.uid_counts()
     # Same up-front uid validation (and the same KeyError) as the
-    # reference and single-config walks.
+    # reference walk: a record without a static entry must not silently
+    # index a hole or an unrelated entry, and a derived-address record
+    # without an address must fail exactly like the reference's
+    # address-column materialization does.
     for uid in uid_counts:
         if static.get(uid) is None:
             raise KeyError(uid)
@@ -1477,28 +1005,12 @@ def run_compiled_many(
         groups.setdefault(_lane_shape(config, derived_flags[index]), []).append(index)
 
     table = _table_for(static)
+    max_lanes = MULTI_KERNEL_MAX_LANES
     fields: list = [None] * len(unique)
     for shape_key, members in groups.items():
         derived = shape_key[0]
         for start in range(0, len(members), max_lanes):
             chunk = members[start : start + max_lanes]
-            if len(chunk) == 1:
-                index = chunk[0]
-                single = run_compiled(trace, unique[index])
-                fields[index] = (
-                    single.cycles,
-                    single.branch_lookups,
-                    single.branch_mispredictions,
-                    single.icache_accesses,
-                    single.icache_misses,
-                    single.dcache_accesses,
-                    single.dcache_misses,
-                    single.l2_accesses,
-                    single.l2_misses,
-                    single.loads,
-                    single.stores,
-                )
-                continue
             lane_configs = tuple(unique[index] for index in chunk)
             static_of = _static_of_for(
                 static,
@@ -1506,7 +1018,7 @@ def run_compiled_many(
                 addr_map if derived else None,
                 lane_configs[0].icache.line_bytes,
             )
-            walk = _multi_walk_for(lane_configs, derived)
+            walk = _kernel_for(lane_configs, derived)
             out = walk(
                 trace.metas,
                 None if derived else trace.addresses(),
@@ -1552,3 +1064,27 @@ def run_compiled_many(
             )
         )
     return results
+
+
+def run_compiled_many(trace: Trace, configs) -> list:
+    """Time ``trace`` under many machine configs in one batched walk.
+
+    Order-preserving: ``results[i]`` corresponds to ``configs[i]``
+    (``None`` entries mean the default :class:`MachineConfig`), and
+    every result is field-for-field identical to
+    ``OutOfOrderModel(configs[i]).run_reference(trace)``.  Duplicate
+    configs are timed once; distinct configs are grouped by
+    :func:`_lane_shape` so each group shares one trace walk (front-end
+    simulated once, one scoreboard lane per config), chunked at
+    :data:`MULTI_KERNEL_MAX_LANES`.  A chunk of one config is simply a
+    one-lane walk.
+    """
+    return _time_lanes(trace, configs)
+
+
+def run_compiled(trace: Trace, config: MachineConfig | None = None):
+    """The compiled timing walk for one config: a one-lane batch.
+
+    Field-for-field identical to ``OutOfOrderModel(config).run_reference``.
+    """
+    return _time_lanes(trace, [config])[0]

@@ -363,7 +363,7 @@ entry:
         assert Machine(program).dispatch == "block"
         # The reference opt-out vocabulary is shared with
         # REPRO_TIMING_KERNEL and REPRO_RESULT_STORE.
-        for alias in ("reference", "slow", "off", "0", "false", "disabled", "none", " Off "):
+        for alias in ("reference", "ref", "slow", "off", "0", "false", "disabled", "none", " Off "):
             monkeypatch.setenv("REPRO_SIM_DISPATCH", alias)
             assert Machine(program).dispatch == "reference", alias
         # A retired tier name or a typo is rejected, naming what is accepted.

@@ -1,13 +1,14 @@
 """First-class differential and unit suite for the `uarch` timing model.
 
-The out-of-order model now has two kernel tiers: the reference
-scoreboard walk (`OutOfOrderModel.run_reference`, locked against a
-verbatim record-list copy by ``tests/test_trace_columnar.py``) and the
-compiled kernel (`repro/uarch/tkernel.py`: generated per-config source,
-packed static table, ring-buffer slot allocators, inlined caches and
-predictor).  This suite locks the compiled tier against the reference
-tier **field-for-field on every TimingResult member** — cycles,
-predictor counters, cache/L2 counters, loads/stores — over:
+The out-of-order model has two kernel tiers: the reference scoreboard
+walk (`OutOfOrderModel.run_reference`, locked against a verbatim
+record-list copy by ``tests/test_trace_columnar.py``) and the compiled
+kernel (`repro/uarch/tkernel.py`: one generated lane-parallel trace
+walk over a packed static table, ring-buffer slot allocators, inlined
+caches and predictor; ``run_compiled`` is its one-lane case).  This
+suite locks every compiled lane against the reference tier
+**field-for-field on every TimingResult member** — cycles, predictor
+counters, cache/L2 counters, loads/stores — over:
 
 1. hypothesis-generated programs (arithmetic, multiplies, memory
    traffic, calls, data-dependent branches) in *both* address modes
@@ -353,7 +354,7 @@ def _lane_config_pool() -> tuple:
 
 
 class TestMultiConfigKernel:
-    """``run_compiled_many`` must be a pure batching of single runs."""
+    """Every ``run_compiled_many`` lane must equal the reference oracle."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -361,18 +362,19 @@ class TestMultiConfigKernel:
         st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=6),
     )
     def test_batch_matches_singles_and_reference(self, asm, picks):
-        """Field-for-field bit-exact vs N independent compiled AND
-        reference runs, for arbitrary config mixes (shared shapes,
-        duplicate lanes, mixed derived/explicit address modes)."""
+        """Every lane of a batch, and the one-lane ``run_compiled`` for
+        each config, is field-for-field bit-exact vs the reference
+        oracle, for arbitrary config mixes (shared shapes, duplicate
+        lanes, mixed derived/explicit address modes)."""
         trace = _machine_trace(asm)
         pool = _lane_config_pool()
         configs = [pool[index] for index in picks]
         batched = tkernel.run_compiled_many(trace, configs)
         assert len(batched) == len(configs)
         for lane, config in zip(batched, configs):
-            model = OutOfOrderModel(config)
-            assert asdict(lane) == asdict(model.run(trace, kernel="compiled"))
-            assert asdict(lane) == asdict(model.run_reference(trace))
+            reference = asdict(OutOfOrderModel(config).run_reference(trace))
+            assert asdict(lane) == reference
+            assert asdict(tkernel.run_compiled(trace, config)) == reference
 
     def test_explicit_address_trace_batch(self):
         """A record-rebuilt trace (no derived addresses) routes every
@@ -383,7 +385,7 @@ class TestMultiConfigKernel:
         configs = [None, replace(MachineConfig(), fetch_width=2, max_in_flight=16)]
         batched = tkernel.run_compiled_many(rebuilt, configs)
         for lane, config in zip(batched, configs):
-            assert asdict(lane) == asdict(tkernel.run_compiled(rebuilt, config))
+            assert asdict(lane) == asdict(OutOfOrderModel(config).run_reference(rebuilt))
 
     def test_duplicate_lanes_share_work_but_not_objects(self):
         base = MachineConfig()
@@ -394,18 +396,36 @@ class TestMultiConfigKernel:
         # not alias another.
         assert batched[0] is not batched[1]
 
-    def test_max_lanes_chunking_is_invisible(self):
-        """Chunking a shape group (including down to singleton chunks,
-        the run_compiled fallback) never changes any field."""
+    def test_max_lanes_chunking_is_invisible(self, monkeypatch):
+        """Chunking a shape group (including down to one-lane chunks)
+        never changes any field."""
         base = MachineConfig()
         configs = [replace(base, max_in_flight=window) for window in (16, 32, 48, 64, 128)]
         trace = _machine_trace(_SMOKE_ASM)
-        full = tkernel.run_compiled_many(trace, configs)
+        reference = [asdict(OutOfOrderModel(config).run_reference(trace)) for config in configs]
         for max_lanes in (1, 2, 8):
-            chunked = tkernel.run_compiled_many(trace, configs, max_lanes=max_lanes)
-            assert [asdict(result) for result in chunked] == [
-                asdict(result) for result in full
-            ]
+            monkeypatch.setattr(tkernel, "MULTI_KERNEL_MAX_LANES", max_lanes)
+            chunked = tkernel.run_compiled_many(trace, configs)
+            assert [asdict(result) for result in chunked] == reference
+
+    def test_single_and_one_lane_batch_share_one_walk(self, monkeypatch):
+        """``run_compiled`` is the one-lane batch: timing one config both
+        ways generates and compiles exactly one walk."""
+        monkeypatch.setattr(tkernel, "_KERNEL_CACHE", {})
+        generated = []
+        real_source = tkernel._kernel_source
+        monkeypatch.setattr(
+            tkernel,
+            "_kernel_source",
+            lambda *a: generated.append(a) or real_source(*a),
+        )
+        trace = _machine_trace(_SMOKE_ASM)
+        config = MachineConfig()
+        single = tkernel.run_compiled(trace, config)
+        (lane,) = tkernel.run_compiled_many(trace, [config])
+        assert asdict(single) == asdict(lane)
+        assert len(generated) == 1
+        assert len(tkernel._KERNEL_CACHE) == 1
 
     def test_empty_batch(self):
         assert tkernel.run_compiled_many(_machine_trace(_SMOKE_ASM), []) == []
@@ -427,8 +447,9 @@ class TestMultiConfigKernel:
 @pytest.mark.slow
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_workload_multi_config_batch(name):
-    """The sweep's default 8-config axis, batched vs single runs on every
-    suite workload, with the reference oracle on one lane per shape group."""
+    """The sweep's default 8-config axis on every suite workload: every
+    batched lane and every one-lane ``run_compiled`` against the
+    reference oracle."""
     from repro.experiments.sweep import default_sweep_configs
 
     workload = workload_by_name(name)
@@ -438,12 +459,9 @@ def test_suite_workload_multi_config_batch(name):
     configs = [config for _, config in default_sweep_configs()]
     batched = tkernel.run_compiled_many(trace, configs)
     for lane, config in zip(batched, configs):
-        assert asdict(lane) == asdict(tkernel.run_compiled(trace, config))
-    # Reference spot-checks: lane 0 (the shared default-geometry group)
-    # and lane 5 ("l1-16k", the singleton shape group).
-    for index in (0, 5):
-        reference = OutOfOrderModel(configs[index]).run_reference(trace)
-        assert asdict(batched[index]) == asdict(reference)
+        reference = asdict(OutOfOrderModel(config).run_reference(trace))
+        assert asdict(lane) == reference
+        assert asdict(tkernel.run_compiled(trace, config)) == reference
 
 
 # ----------------------------------------------------------------------
@@ -466,12 +484,17 @@ class TestAdversarialProbes:
 
     def test_forced_ring_growth_stays_bit_exact(self, monkeypatch):
         """An 8-entry ring collides constantly; growth must preserve
-        exact equivalence with the dict allocator."""
+        exact equivalence with the dict allocator, in a one-lane walk
+        and in every lane of a multi-lane one."""
         trace = _machine_trace(_SMOKE_ASM)
-        reference = asdict(OutOfOrderModel().run(trace, kernel="reference"))
+        narrow = replace(MachineConfig(), issue_width=2, int_alus=1, lsq_ports=1)
+        configs = [MachineConfig(), narrow]
+        reference = [asdict(OutOfOrderModel(c).run_reference(trace)) for c in configs]
         monkeypatch.setattr(tkernel, "_RING_BITS", 3)
-        monkeypatch.setattr(tkernel, "_WALK_CACHE", {})
-        assert asdict(OutOfOrderModel().run(trace, kernel="compiled")) == reference
+        monkeypatch.setattr(tkernel, "_KERNEL_CACHE", {})
+        assert asdict(OutOfOrderModel().run(trace, kernel="compiled")) == reference[0]
+        batched = tkernel.run_compiled_many(trace, configs)
+        assert [asdict(result) for result in batched] == reference
 
     def test_mem_flag_on_non_memory_record_keeps_cursor_aligned(self):
         """A hand-built ALU record carrying a mem address must consume
@@ -539,12 +562,18 @@ class TestKernelSelection:
     def test_env_vocabulary(self, monkeypatch):
         monkeypatch.delenv("REPRO_TIMING_KERNEL", raising=False)
         assert _default_kernel() == "compiled"
-        for value in ("reference", "REF", "slow", "off", "0", "none"):
+        for value in ("reference", "REF", "slow", "off", "0", "none", " Reference "):
             monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
             assert _default_kernel() == "reference"
-        for value in ("compiled", "", "anything-else"):
+        for value in ("compiled", ""):
             monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
             assert _default_kernel() == "compiled"
+        # A typo must not silently time on the compiled kernel when the
+        # oracle was meant; the error names what is accepted.
+        for value in ("anything-else", "refrence"):
+            monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
+            with pytest.raises(ValueError, match="'compiled'.*'reference'"):
+                _default_kernel()
 
     def test_env_selects_kernel_end_to_end(self, monkeypatch):
         trace = _machine_trace(_SMOKE_ASM)
