@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.experiments import POLICY_NAMES, policy_for
+from repro.hardware import gating
 from repro.power import EnergyAccountant, MultiPolicyEnergyAccountant
 from repro.sim import Machine
 from repro.uarch import OutOfOrderModel
@@ -58,7 +58,7 @@ def _account_sequential(traces, policies, cold=True):
 
 
 def test_fused_accounting_speedup(benchmark, suite_traces):
-    policies = {name: policy_for(name) for name in POLICY_NAMES}
+    policies = gating.registry()
 
     fused_durations: list[float] = []
 

@@ -29,7 +29,8 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments.runner import _compute_evaluation, artifact_from_evaluation
+from repro.experiments import ExperimentConfig, ExperimentEngine
+from repro.experiments.runner import artifact_from_evaluation
 from repro.experiments.store import ResultStore
 from repro.workloads import workload_by_name
 
@@ -80,9 +81,15 @@ def _store_key(pipeline: str, workload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _compute(workload, store, pipeline: str):
+    """The engine's uncached live pipeline for one suite workload."""
+    config = ExperimentConfig(workload=workload.name)
+    return ExperimentEngine(store=store).compute(config, workload, pipeline=pipeline)
+
+
 def _cold_materialized(workload, store):
     """Everything a cold store miss pays on the classic pipeline."""
-    evaluation = _compute_evaluation(workload, pipeline="materialized")
+    evaluation = _compute(workload, store, "materialized")
     summary = evaluation.summarize()
     key = _store_key("materialized", workload)
     store.save(key, summary)
@@ -92,7 +99,7 @@ def _cold_materialized(workload, store):
 
 def _cold_fused(workload, store):
     """The same miss through the streaming pipeline: no trace, no snapshot."""
-    evaluation = _compute_evaluation(workload, pipeline="fused")
+    evaluation = _compute(workload, store, "fused")
     store.save(_store_key("fused", workload), evaluation.summarize())
     return evaluation
 

@@ -32,12 +32,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import POLICY_NAMES
-from repro.experiments.runner import (
-    _compute_evaluation,
-    artifact_from_evaluation,
-    replay_summary,
-)
+from repro.experiments import POLICY_NAMES, ExperimentConfig, default_engine
+from repro.experiments.runner import artifact_from_evaluation, replay_summary
 from repro.experiments.sweep import _sweep_timings
 from repro.hardware import gating
 from repro.power import MultiPolicyEnergyAccountant
@@ -77,7 +73,8 @@ def snapshots():
     prepared = {}
     for name in _WORKLOADS:
         workload = workload_by_name(name)
-        blob = encode_artifact(artifact_from_evaluation(_compute_evaluation(workload)))
+        evaluation = default_engine().compute(ExperimentConfig(workload=name), workload)
+        blob = encode_artifact(artifact_from_evaluation(evaluation))
         # Verify outside the timed region: the batched side must
         # reproduce the sequential replay numbers bit-exactly.
         batched = _batched_cells(blob, configs)

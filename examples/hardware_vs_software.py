@@ -11,17 +11,17 @@ Run with::
 
 import sys
 
-from repro.experiments import evaluate_workload, format_percent, format_table
-from repro.workloads import SUITE_NAMES, workload_by_name
+from repro.experiments import ExperimentConfig, default_engine, format_percent, format_table
+from repro.workloads import SUITE_NAMES
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "vortex"
     if name not in SUITE_NAMES:
         raise SystemExit(f"unknown workload {name!r}; pick one of {', '.join(SUITE_NAMES)}")
-    workload = workload_by_name(name)
+    engine = default_engine()
 
-    baseline = evaluate_workload(workload, mechanism="none").outcome("baseline")
+    baseline = engine.evaluate(ExperimentConfig(workload=name)).outcome("baseline")
 
     configurations = [
         ("VRP (software)", "vrp", "software"),
@@ -34,7 +34,8 @@ def main() -> None:
 
     rows = []
     for label, mechanism, policy in configurations:
-        outcome = evaluate_workload(workload, mechanism=mechanism).outcome(policy)
+        config = ExperimentConfig(workload=name, mechanism=mechanism)
+        outcome = engine.evaluate(config).outcome(policy)
         rows.append(
             [
                 label,

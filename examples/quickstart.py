@@ -6,9 +6,12 @@ Run with::
 """
 
 from repro.core import VRPConfig, apply_widths, run_vrp
-from repro.experiments import evaluate_program, policy_for
+from repro.hardware import gating
 from repro.ir import format_program
 from repro.minic import compile_source
+from repro.power import EnergyAccountant
+from repro.sim import Machine
+from repro.uarch import OutOfOrderModel
 
 SOURCE = """
 char message[64];
@@ -35,6 +38,14 @@ int main() {
 """
 
 
+def simulate(program, policy: str):
+    """Simulate once, time the trace and account its energy under ``policy``."""
+    run = Machine(program).run(collect_trace=True)
+    timing = OutOfOrderModel().run(run.trace)
+    energy = EnergyAccountant(gating.get(policy)).account(run.trace, timing)
+    return run, timing, energy
+
+
 def main() -> None:
     # 1. Compile the mini-C program to the Alpha-like binary IR.
     program = compile_source(SOURCE)
@@ -42,9 +53,9 @@ def main() -> None:
     print(format_program(program))
 
     # 2. Baseline simulation: no operand gating.
-    baseline = evaluate_program(program, policy_for("baseline"))
-    print(f"baseline: {baseline.timing.instructions} instructions, "
-          f"{baseline.timing.cycles} cycles, energy {baseline.energy.total:.1f}")
+    base_run, base_timing, base_energy = simulate(program, "baseline")
+    print(f"baseline: {base_timing.instructions} instructions, "
+          f"{base_timing.cycles} cycles, energy {base_energy.total:.1f}")
 
     # 3. Run value range propagation and re-encode the opcodes.
     result = run_vrp(program, VRPConfig())
@@ -53,10 +64,10 @@ def main() -> None:
           f"({result.narrowed_instructions()} narrowed) in {result.analysis_seconds * 1000:.1f} ms")
 
     # 4. Simulate again with software operand gating.
-    gated = evaluate_program(program, policy_for("software"))
-    print(f"with VRP: energy {gated.energy.total:.1f} "
-          f"({(1 - gated.energy.total / baseline.energy.total) * 100:.1f}% saved), "
-          f"output unchanged: {gated.run.output == baseline.run.output}")
+    run, _, energy = simulate(program, "software")
+    print(f"with VRP: energy {energy.total:.1f} "
+          f"({(1 - energy.total / base_energy.total) * 100:.1f}% saved), "
+          f"output unchanged: {run.output == base_run.output}")
 
     print("=== Re-encoded code (after VRP) ===")
     print(format_program(program))

@@ -11,9 +11,19 @@ Run with::
 """
 
 from repro.core import VRSConfig, run_vrs
-from repro.experiments import evaluate_program, policy_for
+from repro.hardware import gating
+from repro.power import EnergyAccountant
 from repro.sim import Machine
+from repro.uarch import OutOfOrderModel
 from repro.workloads import workload_by_name
+
+
+def simulate(program, policy: str):
+    """Simulate once, time the trace and account its energy under ``policy``."""
+    run = Machine(program).run(collect_trace=True)
+    timing = OutOfOrderModel().run(run.trace)
+    energy = EnergyAccountant(gating.get(policy)).account(run.trace, timing)
+    return run, timing, energy
 
 
 def main() -> None:
@@ -22,9 +32,10 @@ def main() -> None:
     # Reference behaviour of the untouched binary.
     baseline_program = workload.build()
     workload.apply_input(baseline_program, "ref")
-    baseline = evaluate_program(baseline_program, policy_for("baseline"))
-    print(f"baseline: {baseline.timing.instructions} instructions, "
-          f"{baseline.timing.cycles} cycles, ED2 {baseline.ed2:.3e}")
+    base_run, base_timing, base_energy = simulate(baseline_program, "baseline")
+    base_ed2 = base_energy.energy_delay_squared()
+    print(f"baseline: {base_timing.instructions} instructions, "
+          f"{base_timing.cycles} cycles, ED2 {base_ed2:.3e}")
 
     # Profile on the *train* input and specialize.
     program = workload.build()
@@ -39,12 +50,12 @@ def main() -> None:
 
     # Evaluate the specialized binary on the *reference* input.
     workload.apply_input(program, "ref")
-    specialized = evaluate_program(program, policy_for("software"))
-    assert specialized.run.output == Machine(baseline_program).run().output
-    energy_saving = 1 - specialized.energy.total / baseline.energy.total
-    ed2_saving = 1 - specialized.ed2 / baseline.ed2
-    print(f"with VRS: {specialized.timing.instructions} instructions, "
-          f"{specialized.timing.cycles} cycles")
+    run, timing, energy = simulate(program, "software")
+    assert run.output == base_run.output
+    energy_saving = 1 - energy.total / base_energy.total
+    ed2_saving = 1 - energy.energy_delay_squared() / base_ed2
+    print(f"with VRS: {timing.instructions} instructions, "
+          f"{timing.cycles} cycles")
     print(f"energy saving {energy_saving * 100:.1f}%, energy-delay^2 saving {ed2_saving * 100:.1f}%")
 
     for record in result.records:

@@ -20,10 +20,6 @@ error-carrying summaries/rows instead of aborted sweeps,
 and the :mod:`~repro.experiments.chaos` harness injects deterministic
 faults for testing (``REPRO_CHAOS``).
 
-The legacy free functions (``evaluate_program``, ``evaluate_workload``,
-``evaluate_suite``, ``compute_evaluation``) are deprecated shims over the
-default engine, kept for compatibility.
-
 | Paper artefact | Function |
 |---|---|
 | Table 1   | :func:`table1_alu_energy_matrix` |
@@ -77,17 +73,7 @@ from .resilience import (
     classify_failure,
     supervised_map,
 )
-from .runner import (
-    POLICY_NAMES,
-    SimulationOutcome,
-    WorkloadEvaluation,
-    clear_cache,
-    compute_evaluation,
-    evaluate_program,
-    evaluate_suite,
-    evaluate_workload,
-    policy_for,
-)
+from .runner import POLICY_NAMES, SimulationOutcome, WorkloadEvaluation
 from .store import FsckReport, ResultStore, StoreEntry, config_key, default_store_root
 from .summary import EvaluationSummary
 from .sweep import (
@@ -158,12 +144,6 @@ __all__ = [
     "POLICY_NAMES",
     "SimulationOutcome",
     "WorkloadEvaluation",
-    "clear_cache",
-    "compute_evaluation",
-    "evaluate_program",
-    "evaluate_suite",
-    "evaluate_workload",
-    "policy_for",
     "figure04_profiled_point_distribution",
     "figure05_static_specialized_instructions",
     "figure06_runtime_specialized_instructions",

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from ..sim.fusedc import PIPELINES, default_pipeline
+from ..sim.fusedc import check_pipeline, default_pipeline
 from ..uarch import MachineConfig
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
@@ -54,6 +54,7 @@ from .summary import EvaluationSummary
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from typing import Iterator, Mapping
 
+    from ..sim.snapshot import SimulationArtifact
     from .sweep import SweepRow, SweepSpec
 
 __all__ = [
@@ -106,11 +107,7 @@ def _resolve_pipeline(pipeline: str, store: Optional[ResultStore]) -> str:
     if pipeline == "auto":
         snapshots = store is not None and store.enabled and store.trace_enabled
         return "materialized" if snapshots else "fused"
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
-        )
-    return pipeline
+    return check_pipeline(pipeline)
 
 
 def _task_timeout_s() -> Optional[float]:
@@ -153,23 +150,10 @@ def _compute_summary_for(
     """Worker entry point: resolve one configuration, return its summary.
 
     Returns ``(store key, JSON-ready summary dict, provenance)`` — plain
-    data, so the result crosses the process boundary cheaply.  Provenance
-    is ``"computed"`` (this worker simulated), ``"replayed"`` (rebuilt
-    from a trace snapshot, zero simulator steps) or ``"shared"`` (another
-    process held the single-flight lock for the same key and this worker
-    served its published entry).  ``summarize()`` materializes the energy
-    breakdowns of *all* gating policies from one fused trace walk
-    (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
-    restored-outcome completeness costs one accounting pass per worker,
-    not one per policy.
-
-    When the parent's store is enabled its root is passed through, and the
-    worker resolves the key under the store's cross-process single-flight
-    lock: concurrent identical evaluations — other sweeps, other service
-    replicas, other CI shards on a shared cache — collapse to one
-    simulation, with every loser reading the winner's published entry.
-    The worker publishes the summary (and snapshot) itself, *inside* the
-    flight, so waiters are released only once the entry is readable.
+    data, so the result crosses the process boundary cheaply; see
+    :func:`_resolve_cold` for the provenance values.  When the parent's
+    store is enabled its root is passed through and the worker publishes
+    the result itself, inside the single-flight lock.
 
     Workers inherit the simulator dispatch tier (``REPRO_SIM_DISPATCH``)
     through the process environment.  The tier is deliberately **not**
@@ -187,39 +171,80 @@ def _compute_summary_for(
         config.machine_config,
     )
     store = ResultStore(store_root) if store_root is not None else None
+    summary, provenance, _ = _resolve_cold(store, key, config, workload, pipeline)
+    return key, summary.to_json_dict(), provenance
+
+
+def _resolve_cold(
+    store: Optional[ResultStore],
+    key: str,
+    config: ExperimentConfig,
+    workload: Workload,
+    pipeline: str,
+) -> tuple[EvaluationSummary, str, Optional[WorkloadEvaluation]]:
+    """Resolve a memo miss: single-flight → shared entry → replay → compute.
+
+    The one cold path behind :meth:`ExperimentEngine.evaluate`, the serial
+    loop of :meth:`ExperimentEngine.map` and the pool worker
+    :func:`_compute_summary_for`.  Returns ``(summary, provenance, live
+    evaluation or None)``; provenance is ``"shared"`` (another flight
+    published the entry first), ``"replayed"`` (rebuilt from a trace
+    snapshot, zero simulator steps) or ``"computed"`` (simulated here; the
+    live evaluation is returned too).
+
+    Under the store's cross-process single-flight lock, concurrent
+    identical evaluations — other sweeps, service replicas, CI shards on
+    a shared cache — collapse to one simulation, and every loser reads
+    the winner's entry.  Results are published *inside* the flight, so
+    waiters are released only once the entry is readable.  With no store
+    the configuration is simply computed.  Compute failures are raised as
+    a classified :class:`~repro.experiments.resilience.EvaluationError`
+    (each caller applies its own ``on_error`` semantics); store-side
+    errors propagate unclassified.
+    """
     if store is None:
-        evaluation = _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, None),
-        )
-        return key, evaluation.summarize().to_json_dict(), "computed"
+        evaluation = _classified_compute(config, workload, pipeline, None)
+        return evaluation.summarize(), "computed", evaluation
     with store.single_flight(key) as flight:
         if flight.summary is not None:
-            return key, flight.summary.to_json_dict(), "shared"
+            return flight.summary, "shared", None
         summary = _replay_from_snapshot(store, config, workload)
         if summary is not None:
             store.save(key, summary)
-            return key, summary.to_json_dict(), "replayed"
-        evaluation = _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, store),
-        )
-        _save_snapshot(store, config, workload, evaluation)
-        summary = evaluation.summarize()
-        store.save(key, summary)
-        return key, summary.to_json_dict(), "computed"
+            return summary, "replayed", None
+        evaluation = _classified_compute(config, workload, pipeline, store)
+        _publish(store, key, config, workload, evaluation)
+        return evaluation.summarize(), "computed", evaluation
+
+
+def _classified_compute(
+    config: ExperimentConfig,
+    workload: Workload,
+    pipeline: str,
+    store: Optional[ResultStore],
+) -> WorkloadEvaluation:
+    try:
+        return _compute(config, workload, _resolve_pipeline(pipeline, store))
+    except Exception as exc:
+        raise classify_failure(exc) from exc
+
+
+def _compute(
+    config: ExperimentConfig, workload: Workload, pipeline: str
+) -> WorkloadEvaluation:
+    return _compute_evaluation(
+        workload,
+        mechanism=config.mechanism,
+        threshold_nj=config.threshold_nj,
+        conventional_vrp=config.conventional_vrp,
+        machine_config=config.machine_config,
+        pipeline=pipeline,
+    )
 
 
 # ----------------------------------------------------------------------
-# Trace-snapshot resolution, shared by the engine and the pool workers
+# Trace snapshots: the only place that knows the snapshot key and the
+# publish order
 # ----------------------------------------------------------------------
 def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     return trace_key(
@@ -227,8 +252,15 @@ def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     )
 
 
+def _load_snapshot(
+    store: ResultStore, config: ExperimentConfig, workload: Workload
+) -> Optional["SimulationArtifact"]:
+    """The stored trace snapshot for ``config``'s trace signature, or None."""
+    return store.load_trace(_snapshot_key(config, workload))
+
+
 def _replay_from_snapshot(
-    store: Optional[ResultStore], config: ExperimentConfig, workload: Workload
+    store: ResultStore, config: ExperimentConfig, workload: Workload
 ) -> Optional[EvaluationSummary]:
     """Rebuild a summary from a stored trace snapshot, or None on miss.
 
@@ -237,10 +269,7 @@ def _replay_from_snapshot(
     the simulator-side snapshot key still hits, and the evaluation is
     rebuilt without a single simulator step.
     """
-    if store is None or not store.trace_enabled:
-        return None
-    key = _snapshot_key(config, workload)
-    artifact = store.load_trace(key)
+    artifact = _load_snapshot(store, config, workload)
     if artifact is None:
         return None
     try:
@@ -257,35 +286,32 @@ def _replay_from_snapshot(
         # truncated-then-padded file whose trace is internally
         # inconsistent.  A broken cache entry must never fail an
         # evaluate(): drop it and fall back to simulation.
+        path = store.trace_path_for(_snapshot_key(config, workload))
         _log.warning(
-            "evicting unreplayable trace snapshot %s (%s: %s)",
-            store.trace_path_for(key),
-            type(exc).__name__,
-            exc,
+            "evicting unreplayable trace snapshot %s (%s: %s)", path, type(exc).__name__, exc
         )
-        store.quarantine(
-            store.trace_path_for(key), f"unreplayable: {type(exc).__name__}: {exc}"
-        )
+        store.quarantine(path, f"unreplayable: {type(exc).__name__}: {exc}")
         return None
 
 
-def _save_snapshot(
-    store: Optional[ResultStore],
+def _publish(
+    store: ResultStore,
+    key: str,
     config: ExperimentConfig,
     workload: Workload,
     evaluation: WorkloadEvaluation,
 ) -> None:
-    # A fused evaluation has no trace to snapshot — its ``trace`` slot
-    # holds the streaming shape aggregate (see docs/fused.md).
-    if (
-        store is not None
-        and store.trace_enabled
-        and evaluation.trace is not None
-        and evaluation.pipeline != "fused"
-    ):
-        store.save_trace(
-            _snapshot_key(config, workload), artifact_from_evaluation(evaluation)
-        )
+    """Persist a freshly computed evaluation: snapshot first, summary last.
+
+    The order is the contract: a visible summary always means its
+    snapshot is already written.  A fused evaluation has no trace to
+    snapshot — its ``trace`` slot holds the streaming shape aggregate
+    (see docs/fused.md).  Both writes are best-effort no-ops on a
+    disabled store.
+    """
+    if store.trace_enabled and evaluation.trace is not None and evaluation.pipeline != "fused":
+        store.save_trace(_snapshot_key(config, workload), artifact_from_evaluation(evaluation))
+    store.save(key, evaluation.summarize())
 
 
 class ExperimentEngine:
@@ -312,20 +338,6 @@ class ExperimentEngine:
             config.conventional_vrp,
             config.machine_config,
         )
-
-    # ------------------------------------------------------------------
-    # Trace-snapshot replay (delegates to the shared module helpers so
-    # the pool workers resolve snapshots identically)
-    # ------------------------------------------------------------------
-    def _replay_summary(
-        self, config: ExperimentConfig, workload: Workload
-    ) -> Optional[EvaluationSummary]:
-        return _replay_from_snapshot(self.store, config, workload)
-
-    def _save_snapshot(
-        self, config: ExperimentConfig, workload: Workload, evaluation: WorkloadEvaluation
-    ) -> None:
-        _save_snapshot(self.store, config, workload, evaluation)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -374,44 +386,25 @@ class ExperimentEngine:
         if summary is not None:
             evaluation = WorkloadEvaluation.from_summary(workload, summary)
         else:
-            # Cold path: resolve under the store's cross-process
-            # single-flight lock, so two processes (or threads) racing on
-            # the same content key cost one simulation — the loser blocks
-            # briefly and reads the winner's published entry.
-            with self.store.single_flight(key) as flight:
-                if flight.summary is not None:
-                    evaluation = WorkloadEvaluation.from_summary(workload, flight.summary)
-                else:
-                    replayed = self._replay_summary(config, workload)
-                    if replayed is not None:
-                        self.store.save(key, replayed)
-                        evaluation = WorkloadEvaluation.from_summary(workload, replayed)
-                        evaluation.replayed_from_store = True
-                    else:
-                        try:
-                            evaluation = _compute_evaluation(
-                                workload,
-                                mechanism=config.mechanism,
-                                threshold_nj=config.threshold_nj,
-                                conventional_vrp=config.conventional_vrp,
-                                machine_config=config.machine_config,
-                                pipeline=_resolve_pipeline(pipeline, self.store),
-                            )
-                        except Exception as exc:
-                            failure = classify_failure(exc)
-                            if on_error == "raise":
-                                raise failure from exc
-                            _log.warning(
-                                "evaluate(%s/%s): keeping failure %s",
-                                config.workload,
-                                config.mechanism,
-                                failure.describe(),
-                            )
-                            return _failure_evaluation(config, workload, failure)
-                        if self.store.enabled:
-                            self.store.save(key, evaluation.summarize())
-                            self._save_snapshot(config, workload, evaluation)
-                        evaluation.freshly_computed = True
+            try:
+                summary, provenance, live = _resolve_cold(
+                    self.store, key, config, workload, pipeline
+                )
+            except EvaluationError as failure:
+                if on_error == "raise":
+                    raise
+                _log.warning(
+                    "evaluate(%s/%s): keeping failure %s",
+                    config.workload,
+                    config.mechanism,
+                    failure.describe(),
+                )
+                return _failure_evaluation(config, workload, failure)
+            evaluation = live
+            if evaluation is None:
+                evaluation = WorkloadEvaluation.from_summary(workload, summary)
+            evaluation.freshly_computed = provenance == "computed"
+            evaluation.replayed_from_store = provenance == "replayed"
         self._memo[key] = evaluation
         return evaluation
 
@@ -428,20 +421,14 @@ class ExperimentEngine:
         need the trace, so the pipeline defaults to ``"materialized"``
         (the environment is not consulted).  An explicit
         ``pipeline="fused"`` returns a live evaluation whose ``trace``
-        slot holds the streaming shape aggregate instead of a trace.
+        slot holds the streaming shape aggregate instead of a trace; any
+        other name (``"auto"`` included) raises ``ValueError``.
         Nothing is memoized or persisted; use :meth:`evaluate` for
         cached, store-backed resolution.
         """
         if workload is None:
             workload = workload_by_name(config.workload)
-        return _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline="fused" if pipeline == "fused" else "materialized",
-        )
+        return _compute(config, workload, pipeline)
 
     def map(
         self,
@@ -528,108 +515,60 @@ class ExperimentEngine:
         if missing:
             resolved_pipeline = _resolve_pipeline(pipeline, self.store)
             order = list(missing.items())
-            delivered: set[str] = set()
 
-            def ready(key: str, summary: EvaluationSummary, fresh: bool, replayed: bool) -> None:
+            def ready(key: str, summary: EvaluationSummary, provenance: str) -> None:
                 """Memoize + stream one resolved miss (pool or serial)."""
                 _, miss_workload = missing[key]
                 evaluation = WorkloadEvaluation.from_summary(miss_workload, summary)
-                evaluation.freshly_computed = fresh
-                evaluation.replayed_from_store = replayed
+                evaluation.freshly_computed = provenance == "computed"
+                evaluation.replayed_from_store = provenance == "replayed"
                 self._memo[key] = evaluation
-                delivered.add(key)
                 for index in missing_indices[key]:
                     deliver(index, evaluation)
 
             worker_count = min(_resolve_jobs(jobs) if jobs is not None else self.jobs, len(order))
-            produced = (
+            errors = (
                 self._map_parallel(
                     [config for _, (config, _) in order],
                     worker_count,
                     resolved_pipeline,
-                    on_ready=lambda position, summary, fresh, replayed: ready(
-                        order[position][0], summary, fresh, replayed
+                    on_ready=lambda position, summary, provenance: ready(
+                        order[position][0], summary, provenance
                     ),
                 )
                 if worker_count > 1
                 else None
             )
-            if produced is None:
-                produced = []
-                for key, (config, workload) in order:
-                    if key in delivered:
-                        # Streamed by a pool attempt that later collapsed;
-                        # the memoized result is already in place.
-                        produced.append(
-                            (key, self._memo[key].summarize(), False, False, None)
+            if errors is None:
+                errors = {}
+                for position, (key, (config, workload)) in enumerate(order):
+                    if results[missing_indices[key][0]] is not None:
+                        # Streamed by a pool attempt that later collapsed.
+                        # Call-local on purpose: the memo is shared with
+                        # other threads and reentrant callbacks, whose
+                        # entries this call has not delivered yet.
+                        continue
+                    try:
+                        summary, provenance, _ = _resolve_cold(
+                            self.store, key, config, workload, resolved_pipeline
                         )
+                    except EvaluationError as error:
+                        errors[position] = error
                         continue
-                    # A failed pool attempt may have persisted some results
-                    # before dying; serve those instead of recomputing.
-                    summary = self.store.load(key)
-                    if summary is not None:
-                        ready(key, summary, False, False)
-                        produced.append((key, summary, False, False, None))
-                        continue
-                    error: Optional[EvaluationError] = None
-                    fresh = replayed_flag = False
-                    # Same cross-process dedup as the pool workers: the
-                    # serial fallback competes for the single-flight lock
-                    # and publishes inside it.
-                    with self.store.single_flight(key) as flight:
-                        if flight.summary is not None:
-                            summary = flight.summary
-                        else:
-                            replayed = self._replay_summary(config, workload)
-                            if replayed is not None:
-                                self.store.save(key, replayed)
-                                summary, replayed_flag = replayed, True
-                            else:
-                                try:
-                                    live = _compute_evaluation(
-                                        workload,
-                                        mechanism=config.mechanism,
-                                        threshold_nj=config.threshold_nj,
-                                        conventional_vrp=config.conventional_vrp,
-                                        machine_config=config.machine_config,
-                                        pipeline=resolved_pipeline,
-                                    )
-                                except Exception as exc:
-                                    error = classify_failure(exc)
-                                else:
-                                    summary = live.summarize()
-                                    self.store.save(key, summary)
-                                    self._save_snapshot(config, workload, live)
-                                    fresh = True
-                    if error is not None:
-                        produced.append((key, None, False, False, error))
-                        continue
-                    ready(key, summary, fresh, replayed_flag)
-                    produced.append((key, summary, fresh, replayed_flag, None))
-            for (key, (config, workload)), (worker_key, summary, fresh, replayed, error) in zip(
-                order, produced
-            ):
-                if error is not None:
-                    if on_error == "raise":
-                        raise error
-                    _log.warning(
-                        "map(%s/%s): keeping failure %s",
-                        config.workload,
-                        config.mechanism,
-                        error.describe(),
-                    )
-                    evaluation = _failure_evaluation(config, workload, error)
-                    # Failed points are never memoized: a later request
-                    # must get a fresh chance at a healthy evaluation.
-                    for index in missing_indices[key]:
-                        deliver(index, evaluation)
-                    continue
-                if key in delivered:
-                    continue  # streamed on arrival (pool persist / serial loop)
-                evaluation = WorkloadEvaluation.from_summary(workload, summary)
-                evaluation.freshly_computed = fresh
-                evaluation.replayed_from_store = replayed
-                self._memo[worker_key] = evaluation
+                    ready(key, summary, provenance)
+            for position, error in errors.items():
+                key, (config, workload) = order[position]
+                if on_error == "raise":
+                    raise error
+                _log.warning(
+                    "map(%s/%s): keeping failure %s",
+                    config.workload,
+                    config.mechanism,
+                    error.describe(),
+                )
+                evaluation = _failure_evaluation(config, workload, error)
+                # Failed points are never memoized: a later request
+                # must get a fresh chance at a healthy evaluation.
                 for index in missing_indices[key]:
                     deliver(index, evaluation)
         return results  # type: ignore[return-value]
@@ -691,11 +630,9 @@ class ExperimentEngine:
         self,
         configs: Sequence[ExperimentConfig],
         worker_count: int,
-        pipeline: str = "auto",
-        on_ready: Optional[Callable[[int, "EvaluationSummary", bool, bool], None]] = None,
-    ) -> Optional[
-        list[tuple[str, Optional["EvaluationSummary"], bool, bool, Optional[EvaluationError]]]
-    ]:
+        pipeline: str,
+        on_ready: Callable[[int, EvaluationSummary, str], None],
+    ) -> Optional[dict[int, EvaluationError]]:
         """Fan the missing configurations out under supervision.
 
         Every worker publishes its summary (and snapshot) to the store
@@ -709,28 +646,21 @@ class ExperimentEngine:
         serial), each logged — see
         :func:`repro.experiments.resilience.supervised_map`.
 
-        ``on_ready(position, summary, fresh, replayed)`` fires in the
-        calling thread as each result arrives (the supervisor's
+        ``on_ready(position, summary, provenance)`` fires in the calling
+        thread for every success as it arrives (the supervisor's
         ``on_result`` hook), letting :meth:`map` stream completions.
 
-        Returns None only when the pool infrastructure cannot be created
-        at all (restricted sandboxes); the caller's serial fallback then
-        picks up any partial progress from the store.  Permanent per-task
-        failures come back as the fifth tuple element instead of raising,
-        so ``map`` can apply its ``on_error`` semantics.
+        Returns the permanent per-task failures by position, so ``map``
+        can apply its ``on_error`` semantics — or None when the pool
+        infrastructure cannot be created at all (restricted sandboxes);
+        the caller's serial fallback then picks up any partial progress.
         """
         store_root = str(self.store.root) if self.store.enabled else None
         tasks = [(config, store_root, pipeline) for config in configs]
-        arrived: dict[int, tuple[str, EvaluationSummary, str]] = {}
 
         def collect(position: int, value) -> None:
-            worker_key, summary_dict, provenance = value
-            summary = EvaluationSummary.from_json_dict(summary_dict)
-            arrived[position] = (worker_key, summary, provenance)
-            if on_ready is not None:
-                on_ready(
-                    position, summary, provenance == "computed", provenance == "replayed"
-                )
+            _, summary_dict, provenance = value
+            on_ready(position, EvaluationSummary.from_json_dict(summary_dict), provenance)
 
         try:
             outcomes = supervised_map(
@@ -754,28 +684,11 @@ class ExperimentEngine:
                 len(configs),
             )
             return None
-
-        produced: list[
-            tuple[str, Optional[EvaluationSummary], bool, bool, Optional[EvaluationError]]
-        ] = []
-        for position, (config, outcome) in enumerate(zip(configs, outcomes)):
-            if outcome.ok:
-                worker_key, summary, provenance = arrived[position]
-                produced.append(
-                    (
-                        worker_key,
-                        summary,
-                        provenance == "computed",
-                        provenance == "replayed",
-                        None,
-                    )
-                )
-            else:
-                workload = workload_by_name(config.workload)
-                produced.append(
-                    (self.key_for(config, workload), None, False, False, outcome.error)
-                )
-        return produced
+        return {
+            position: outcome.error
+            for position, outcome in enumerate(outcomes)
+            if not outcome.ok
+        }
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -794,8 +707,8 @@ _DEFAULT_ENGINE: Optional[ExperimentEngine] = None
 def default_engine() -> ExperimentEngine:
     """The process-wide engine: the session the blessed API acts on.
 
-    The CLI, the figure/table modules and the deprecated free-function
-    shims all share this engine (and therefore its memo and store).
+    The CLI, the service and the figure/table modules all share this
+    engine (and therefore its memo and store).
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:

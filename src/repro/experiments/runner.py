@@ -10,10 +10,7 @@ through the :class:`~repro.experiments.engine.ExperimentEngine` session
 API (``evaluate``/``map``/``map_suite``/``sweep``), which memoizes
 evaluations in-process, persists their summaries to the on-disk
 :class:`~repro.experiments.store.ResultStore` and fans independent
-configurations out across worker processes.  The legacy free functions
-(``evaluate_program``/``evaluate_workload``/``evaluate_suite``/
-``compute_evaluation``) remain as deprecated shims delegating to the
-default engine.
+configurations out across worker processes.
 
 A :class:`WorkloadEvaluation` therefore comes in two flavours: *live* (just
 simulated in this process; carries the program, trace and run) and
@@ -31,10 +28,10 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core import VRPConfig, VRSConfig, VRSResult, apply_widths, run_vrp, run_vrs
 from ..core.vrp import VRPResult
-from ..hardware import GatingPolicy, gating
+from ..hardware import gating
 from ..ir import Program
 from ..isa import Width
-from ..power import EnergyAccountant, EnergyBreakdown, MultiPolicyEnergyAccountant
+from ..power import EnergyBreakdown, MultiPolicyEnergyAccountant
 from ..sim import Machine, RunResult, Trace
 from ..uarch import MachineConfig, OutOfOrderModel, TimingResult
 from ..workloads import Workload
@@ -52,12 +49,7 @@ __all__ = [
     "SimulationOutcome",
     "WorkloadEvaluation",
     "artifact_from_evaluation",
-    "evaluate_program",
-    "evaluate_workload",
-    "evaluate_suite",
-    "policy_for",
     "replay_summary",
-    "clear_cache",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -169,12 +161,12 @@ class WorkloadEvaluation:
         """
         if policy_name not in self.outcomes:
             if self.trace is not None:
-                # policy_for raises the improved KeyError for unknown
+                # gating.get raises the improved KeyError for unknown
                 # names; every known policy is in POLICY_NAMES, so one
                 # fused walk fills every cache entry at once.
-                policy_for(policy_name)
+                gating.get(policy_name)
                 accountant = MultiPolicyEnergyAccountant(
-                    {name: policy_for(name) for name in POLICY_NAMES}
+                    {name: gating.get(name) for name in POLICY_NAMES}
                 )
                 for name, energy in accountant.account(self.trace, self.timing).items():
                     self.outcomes.setdefault(
@@ -300,68 +292,6 @@ class WorkloadEvaluation:
 POLICY_NAMES = tuple(gating.registry())
 
 
-def policy_for(name: str) -> GatingPolicy:
-    """Gating policy by configuration name.
-
-    Thin alias for :func:`repro.hardware.gating.get`, kept because the
-    name is established throughout the tests and figure modules; new code
-    should use the registry directly (``gating.get`` /
-    ``gating.registry``).
-    """
-    return gating.get(name)
-
-
-def _deprecated(name: str, replacement: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation warning for a legacy free function.
-
-    ``stacklevel`` counts frames from the ``warnings.warn`` call: 1 is
-    this helper, 2 the deprecated shim, 3 the shim's caller — the frame
-    the warning should be attributed to when the shim calls this helper
-    directly.  A shim that interposes extra frames (or re-exports
-    through a wrapper) must pass the matching depth, otherwise the
-    warning points inside ``repro`` and ``-W error::DeprecationWarning``
-    filters keyed on the caller's module stop matching.
-    """
-    import warnings
-
-    warnings.warn(
-        f"repro.experiments.{name} is deprecated; use {replacement} instead "
-        "(see docs/experiments.md)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def evaluate_program(
-    program: Program,
-    policy: GatingPolicy,
-    machine_config: Optional[MachineConfig] = None,
-    max_instructions: int = 20_000_000,
-    trace: Optional[Trace] = None,
-    run: Optional[RunResult] = None,
-) -> SimulationOutcome:
-    """Simulate ``program`` once and account energy under ``policy``.
-
-    .. deprecated:: PR6
-        Part of the pre-engine free-function surface.  Compose the pieces
-        directly (``Machine`` → ``OutOfOrderModel`` → ``EnergyAccountant``)
-        for ad-hoc programs, or go through :class:`ExperimentEngine` for
-        registered workload points.
-    """
-    _deprecated(
-        "evaluate_program",
-        "Machine/OutOfOrderModel/EnergyAccountant directly (or ExperimentEngine for workload points)",
-        stacklevel=3,  # helper → this shim → caller
-    )
-    if trace is None or run is None:
-        machine = Machine(program, max_instructions=max_instructions)
-        run = machine.run(collect_trace=True)
-        trace = run.trace
-    timing = OutOfOrderModel(machine_config).run(trace)
-    energy = EnergyAccountant(policy).account(trace, timing)
-    return SimulationOutcome(policy=policy.name, run=run, timing=timing, energy=energy)
-
-
 # ----------------------------------------------------------------------
 # One full build → transform → simulate pipeline (live path)
 # ----------------------------------------------------------------------
@@ -404,8 +334,7 @@ def _compute_evaluation(
 ) -> WorkloadEvaluation:
     """Build, transform and simulate one workload configuration (uncached).
 
-    This is the live pipeline behind :meth:`ExperimentEngine.compute`;
-    the deprecated :func:`compute_evaluation` shim delegates here.
+    This is the live pipeline behind :meth:`ExperimentEngine.compute`.
 
     ``pipeline`` selects how the simulation outputs are produced:
     ``"materialized"`` simulates with a full columnar trace and walks it
@@ -511,9 +440,7 @@ def replay_summary(
     """
     trace = artifact.trace
     timing = OutOfOrderModel(machine_config).run(trace)
-    accountant = MultiPolicyEnergyAccountant(
-        {name: policy_for(name) for name in POLICY_NAMES}
-    )
+    accountant = MultiPolicyEnergyAccountant({name: gating.get(name) for name in POLICY_NAMES})
     energies = accountant.account(trace, timing)
     width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
     return EvaluationSummary(
@@ -532,102 +459,4 @@ def replay_summary(
         vrp=restore_vrp_stat_keys(artifact.vrp),
         vrs=artifact.vrs,
         runtime_specialization=artifact.runtime_specialization,
-    )
-
-
-# ----------------------------------------------------------------------
-# Deprecated compatibility shims over the experiment engine
-#
-# The blessed surface is the ExperimentEngine session API —
-# ``engine.evaluate(point)`` / ``engine.map(points)`` /
-# ``engine.sweep(spec)`` / ``engine.compute(point)`` on
-# ``default_engine()`` — re-exported from ``repro.experiments``.  The
-# free functions below predate it and are kept as thin delegating shims
-# so existing scripts keep working; each emits a DeprecationWarning.
-# ----------------------------------------------------------------------
-def compute_evaluation(
-    workload: Workload,
-    mechanism: str = "none",
-    threshold_nj: float = 50.0,
-    conventional_vrp: bool = False,
-    machine_config: Optional[MachineConfig] = None,
-) -> WorkloadEvaluation:
-    """Build, transform and simulate one workload configuration (uncached).
-
-    .. deprecated:: PR6
-        Use :meth:`ExperimentEngine.compute` (the uncached live path) on
-        :func:`~repro.experiments.engine.default_engine`.
-    """
-    _deprecated("compute_evaluation", "ExperimentEngine.compute", stacklevel=3)
-    return _compute_evaluation(
-        workload,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-        machine_config=machine_config,
-    )
-
-
-def clear_cache() -> None:
-    """Drop all in-process cached evaluations (used by tests).
-
-    The persistent on-disk store is left alone; use
-    ``python -m repro.experiments clear`` or ``ResultStore.clear()`` for
-    that.
-    """
-    from .engine import default_engine
-
-    default_engine().clear_memory()
-
-
-def evaluate_workload(
-    workload: Workload,
-    mechanism: str = "none",
-    threshold_nj: float = 50.0,
-    conventional_vrp: bool = False,
-    machine_config: Optional[MachineConfig] = None,
-) -> WorkloadEvaluation:
-    """Build, transform and simulate one workload configuration.
-
-    ``mechanism`` is one of ``"none"``, ``"vrp"`` or ``"vrs"``.  Results are
-    memoized for the whole process and persisted to the result store, so
-    tests and benchmark targets can freely re-request configurations — even
-    across processes.
-
-    .. deprecated:: PR6
-        Use ``default_engine().evaluate(ExperimentConfig(...))``.
-    """
-    from .engine import ExperimentConfig, default_engine
-
-    _deprecated("evaluate_workload", "ExperimentEngine.evaluate", stacklevel=3)
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-        machine_config=machine_config,
-    )
-    return default_engine().evaluate(config, workload=workload)
-
-
-def evaluate_suite(
-    mechanism: str = "none",
-    threshold_nj: float = 50.0,
-    conventional_vrp: bool = False,
-) -> dict[str, WorkloadEvaluation]:
-    """Evaluate every workload of the SpecInt95-analogue suite.
-
-    Configurations missing from both the in-process memo and the result
-    store are fanned out across the engine's worker pool.
-
-    .. deprecated:: PR6
-        Use ``default_engine().map_suite(...)``.
-    """
-    from .engine import default_engine
-
-    _deprecated("evaluate_suite", "ExperimentEngine.map_suite", stacklevel=3)
-    return default_engine().map_suite(
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
     )

@@ -34,13 +34,15 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from ..hardware import gating
 from ..power import MultiPolicyEnergyAccountant
+from ..sim.fusedc import check_pipeline, default_pipeline
 from ..uarch import CacheConfig, MachineConfig, OutOfOrderModel, TimingResult
 from ..uarch.ooo import _default_kernel
 from ..uarch.tkernel import run_compiled_many
 from ..workloads import SUITE_NAMES, Workload, workload_by_name
+from .engine import ExperimentConfig, _load_snapshot, _publish
+from .runner import artifact_from_evaluation
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..sim.snapshot import SimulationArtifact
     from .engine import ExperimentEngine
 
 __all__ = [
@@ -438,63 +440,6 @@ def _sweep_timings(
     return run_compiled_many(trace, list(configs))
 
 
-def _load_snapshot_artifact(
-    engine: "ExperimentEngine",
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-) -> Optional["SimulationArtifact"]:
-    """The stored binary snapshot for one trace signature, if warm."""
-    from .engine import ExperimentConfig, _snapshot_key
-
-    store = engine.store
-    if not store.trace_enabled:
-        return None
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    return store.load_trace(_snapshot_key(config, workload))
-
-
-def _compute_artifact(
-    engine: "ExperimentEngine",
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-) -> "SimulationArtifact":
-    """Cold materialized simulation for one trace signature.
-
-    Persists both the summary and the binary snapshot (exactly like
-    ``engine.evaluate`` would), so the next sweep over the same signature
-    is a zero-simulation replay.
-    """
-    from .engine import ExperimentConfig, _save_snapshot
-    from .runner import _compute_evaluation, artifact_from_evaluation
-
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    store = engine.store
-    evaluation = _compute_evaluation(
-        workload,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    if store.enabled:
-        store.save(engine.key_for(config, workload), evaluation.summarize())
-        _save_snapshot(store, config, workload, evaluation)
-    return artifact_from_evaluation(evaluation)
-
-
 def _score_group(
     engine: "ExperimentEngine",
     workload: Workload,
@@ -515,25 +460,30 @@ def _score_group(
     error and must raise rather than degrade into error rows.
     """
     accountant = MultiPolicyEnergyAccountant(dict(policies))
-
-    artifact = _load_snapshot_artifact(
-        engine, workload, mechanism, threshold_nj, conventional_vrp
+    signature = ExperimentConfig(
+        workload=workload.name,
+        mechanism=mechanism,
+        threshold_nj=threshold_nj,
+        conventional_vrp=conventional_vrp,
     )
+    artifact = _load_snapshot(engine.store, signature, workload)
     if artifact is None and (
         pipeline == "fused" or (pipeline == "auto" and len(configs) == 1)
     ):
         source = "fused"
-        trace, timings, instructions = _fused_group(
-            workload, mechanism, threshold_nj, conventional_vrp, configs
-        )
+        trace, timings, instructions = _fused_group(engine, signature, workload, configs)
     else:
         if artifact is not None:
             source = "replayed"
         else:
+            # Cold materialized simulation, persisted exactly like
+            # ``engine.evaluate`` would, so the next sweep over the same
+            # signature is a zero-simulation replay.
             source = "computed"
-            artifact = _compute_artifact(
-                engine, workload, mechanism, threshold_nj, conventional_vrp
-            )
+            evaluation = engine.compute(signature, workload)
+            key = engine.key_for(signature, workload)
+            _publish(engine.store, key, signature, workload, evaluation)
+            artifact = artifact_from_evaluation(evaluation)
         trace = artifact.trace
         instructions = artifact.instructions
         timings = _sweep_timings(trace, configs)
@@ -580,16 +530,10 @@ def run_sweep(
     failure.  Spec errors (an unknown machine-config name) always raise —
     they are caller bugs, not runtime faults.
     """
-    from ..sim.fusedc import PIPELINES, default_pipeline
     from .chaos import chaos_probe
     from .resilience import classify_failure
 
-    if pipeline == "auto":
-        pipeline = default_pipeline()
-    if pipeline != "auto" and pipeline not in PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
-        )
+    pipeline = default_pipeline() if pipeline == "auto" else check_pipeline(pipeline)
     if on_error not in ("raise", "keep"):
         raise ValueError(f"unknown on_error mode {on_error!r}; expected 'raise' or 'keep'")
 
@@ -694,10 +638,9 @@ def run_sweep(
 
 
 def _fused_group(
+    engine: "ExperimentEngine",
+    signature: ExperimentConfig,
     workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
     configs: Sequence[MachineConfig],
 ):
     """Score one cold trace-signature group through the fused pipeline.
@@ -711,15 +654,9 @@ def _fused_group(
     summary under a *sweep* key would alias the default machine config.
     """
     from ..sim.machine import Machine
-    from .runner import _compute_evaluation
 
-    evaluation = _compute_evaluation(
-        workload,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-        machine_config=configs[0],
-        pipeline="fused",
+    evaluation = engine.compute(
+        replace(signature, machine_config=configs[0]), workload, pipeline="fused"
     )
     timings = [evaluation.timing]
     if len(configs) > 1:

@@ -65,6 +65,7 @@ __all__ = [
     "FusedOutcome",
     "FusedProgram",
     "ShapeAggregate",
+    "check_pipeline",
     "compile_fused",
     "default_pipeline",
     "fused_program_for",
@@ -78,22 +79,22 @@ __all__ = [
 #: needs the records" (snapshot persistence, value observers, …).
 PIPELINES = ("auto", "fused", "materialized")
 
-_MATERIALIZED_ALIASES = frozenset({"materialized", "off", "0", "false", "no", "disabled"})
+
+def check_pipeline(value: str, label: str = "pipeline") -> str:
+    """Return ``value`` if it names a pipeline, else raise ``ValueError``."""
+    if value not in PIPELINES:
+        raise ValueError(f"unknown {label} {value!r}; expected one of {'|'.join(PIPELINES)}")
+    return value
 
 
 def default_pipeline() -> str:
     """Pipeline choice from ``REPRO_PIPELINE`` (``auto`` when unset).
 
-    ``fused`` forces the fused tier, ``materialized`` (or any common
-    falsy spelling, as for ``REPRO_SIM_DISPATCH``) forces the trace
-    pipeline, anything else falls back to ``auto``.
+    Accepts exactly the names in :data:`PIPELINES`; any other non-empty
+    value raises ``ValueError`` rather than silently picking a pipeline.
     """
     value = os.environ.get("REPRO_PIPELINE", "").strip().lower()
-    if value == "fused":
-        return "fused"
-    if value in _MATERIALIZED_ALIASES and value:
-        return "materialized"
-    return "auto"
+    return check_pipeline(value, "REPRO_PIPELINE value") if value else "auto"
 
 
 # ----------------------------------------------------------------------

@@ -11,16 +11,21 @@ import pytest
 from repro.experiments import (
     POLICY_NAMES,
     EvaluationSummary,
+    ExperimentConfig,
     WorkloadEvaluation,
-    compute_evaluation,
-    evaluate_workload,
+    default_engine,
     format_percent,
     format_table,
-    policy_for,
     table1_alu_energy_matrix,
 )
+from repro.hardware import gating
 from repro.isa import Width
 from repro.workloads import workload_by_name
+
+
+def _evaluate(workload, mechanism):
+    config = ExperimentConfig(workload=workload.name, mechanism=mechanism)
+    return default_engine().evaluate(config, workload=workload)
 
 
 class TestReportFormatting:
@@ -38,11 +43,11 @@ class TestReportFormatting:
 class TestRunner:
     def test_policy_names(self):
         for name in ("baseline", "software", "hw-size", "hw-significance", "sw+hw-significance"):
-            assert policy_for(name) is policy_for(name)
+            assert gating.get(name) is gating.get(name)
 
     def test_unknown_policy_lists_valid_names(self):
         with pytest.raises(KeyError) as excinfo:
-            policy_for("hw-compression")
+            gating.get("hw-compression")
         message = str(excinfo.value)
         assert "hw-compression" in message
         assert "valid policies" in message
@@ -50,8 +55,8 @@ class TestRunner:
 
     def test_evaluate_workload_caches_and_reuses_trace(self):
         workload = workload_by_name("ijpeg")
-        first = evaluate_workload(workload, mechanism="none")
-        second = evaluate_workload(workload, mechanism="none")
+        first = _evaluate(workload, mechanism="none")
+        second = _evaluate(workload, mechanism="none")
         assert first is second
         baseline = first.outcome("baseline")
         hardware = first.outcome("hw-significance")
@@ -60,8 +65,8 @@ class TestRunner:
 
     def test_vrp_narrows_dynamic_widths(self):
         workload = workload_by_name("ijpeg")
-        baseline = evaluate_workload(workload, mechanism="none")
-        vrp = evaluate_workload(workload, mechanism="vrp")
+        baseline = _evaluate(workload, mechanism="none")
+        vrp = _evaluate(workload, mechanism="vrp")
         base_widths = baseline.dynamic_width_distribution()
         vrp_widths = vrp.dynamic_width_distribution()
         assert vrp_widths[Width.QUAD] <= base_widths[Width.QUAD]
@@ -71,8 +76,8 @@ class TestRunner:
         # The once copy-pasted aggregation now has a single implementation
         # on Trace; both public entry points must agree exactly.  Computed
         # directly (not through the engine) so a prior in-process
-        # evaluate_suite cannot hand back a restored, trace-less object.
-        evaluation = compute_evaluation(workload_by_name("ijpeg"), mechanism="none")
+        # suite evaluation cannot hand back a restored, trace-less object.
+        evaluation = default_engine().compute(ExperimentConfig(workload="ijpeg"))
         outcome = evaluation.outcome("baseline")
         assert (
             outcome.dynamic_width_distribution(evaluation.trace)
@@ -87,7 +92,7 @@ class TestRestoredOutcomes:
 
     @pytest.fixture(scope="class")
     def live(self):
-        return compute_evaluation(workload_by_name("ijpeg"), mechanism="none")
+        return default_engine().compute(ExperimentConfig(workload="ijpeg"))
 
     @pytest.fixture(scope="class")
     def restored(self, live):
@@ -141,80 +146,6 @@ class TestTable1:
         assert set(matrix) == set(Width.all_widths())
         for row in matrix.values():
             assert set(row) == set(Width.all_widths())
-
-
-class TestDeprecationShims:
-    """The legacy free functions must attribute their DeprecationWarning to
-    the *caller's* frame (stacklevel=3: helper → shim → caller).  A wrong
-    stacklevel points the warning inside ``repro``, where the CI filter
-    ``-W error::DeprecationWarning:repro`` would turn every legitimate
-    shim call into a hard error."""
-
-    @staticmethod
-    def _shim_warning(record):
-        matches = [
-            warning
-            for warning in record.list
-            if issubclass(warning.category, DeprecationWarning)
-            and "is deprecated" in str(warning.message)
-        ]
-        assert matches, "shim did not emit its DeprecationWarning"
-        return matches[0]
-
-    def test_evaluate_program_warns_at_caller(self):
-        from repro.asm import assemble_program
-        from repro.experiments import evaluate_program
-
-        program = assemble_program(
-            ".func main 0\nentry:\n    li r1, 1\n    print r1\n    halt\n.endfunc\n"
-        )
-        with pytest.warns(DeprecationWarning) as record:
-            outcome = evaluate_program(program, policy_for("baseline"))
-        warning = self._shim_warning(record)
-        assert warning.filename == __file__
-        assert "evaluate_program" in str(warning.message)
-        assert outcome.energy.total > 0
-
-    def test_compute_evaluation_warns_at_caller(self, monkeypatch):
-        sentinel = object()
-        monkeypatch.setattr(
-            "repro.experiments.runner._compute_evaluation", lambda *a, **k: sentinel
-        )
-        with pytest.warns(DeprecationWarning) as record:
-            result = compute_evaluation(workload_by_name("li"))
-        warning = self._shim_warning(record)
-        assert warning.filename == __file__
-        assert "compute_evaluation" in str(warning.message)
-        assert result is sentinel
-
-    def test_evaluate_workload_warns_at_caller(self, monkeypatch):
-        sentinel = object()
-
-        class _StubEngine:
-            def evaluate(self, config, workload=None):
-                return sentinel
-
-        monkeypatch.setattr("repro.experiments.engine.default_engine", _StubEngine)
-        with pytest.warns(DeprecationWarning) as record:
-            result = evaluate_workload(workload_by_name("li"))
-        warning = self._shim_warning(record)
-        assert warning.filename == __file__
-        assert "evaluate_workload" in str(warning.message)
-        assert result is sentinel
-
-    def test_evaluate_suite_warns_at_caller(self, monkeypatch):
-        from repro.experiments import evaluate_suite
-
-        class _StubEngine:
-            def map_suite(self, **kwargs):
-                return {}
-
-        monkeypatch.setattr("repro.experiments.engine.default_engine", _StubEngine)
-        with pytest.warns(DeprecationWarning) as record:
-            assert evaluate_suite() == {}
-        warning = self._shim_warning(record)
-        assert warning.filename == __file__
-        assert "evaluate_suite" in str(warning.message)
 
 
 class TestStoreCorruptionRecovery:
@@ -341,7 +272,7 @@ class TestStoreCorruptionRecovery:
 @pytest.mark.suite
 @pytest.mark.slow
 def test_second_suite_evaluation_runs_zero_simulations(tmp_path):
-    """A fresh process re-running ``evaluate_suite`` is served from the
+    """A fresh process re-running ``map_suite`` is served from the
     on-disk store and never enters ``Machine.run``."""
     import repro
 
@@ -354,8 +285,8 @@ def test_second_suite_evaluation_runs_zero_simulations(tmp_path):
     warm_script = textwrap.dedent(
         """
         import json
-        from repro.experiments import evaluate_suite
-        evaluations = evaluate_suite(mechanism="none")
+        from repro.experiments import default_engine
+        evaluations = default_engine().map_suite(mechanism="none")
         print(json.dumps({n: e.timing.cycles for n, e in evaluations.items()}))
         """
     )
@@ -374,8 +305,8 @@ def test_second_suite_evaluation_runs_zero_simulations(tmp_path):
             raise AssertionError("Machine.run called despite a warm result store")
 
         Machine.run = _forbidden
-        from repro.experiments import evaluate_suite
-        evaluations = evaluate_suite(mechanism="none")
+        from repro.experiments import default_engine
+        evaluations = default_engine().map_suite(mechanism="none")
         assert all(e.is_restored for e in evaluations.values())
         baseline = {n: e.outcome("baseline").energy.total for n, e in evaluations.items()}
         assert all(total > 0 for total in baseline.values())

@@ -302,10 +302,19 @@ class TestPipelinePlumbing:
         assert default_pipeline() == "fused"
         monkeypatch.setenv("REPRO_PIPELINE", "materialized")
         assert default_pipeline() == "materialized"
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert default_pipeline() == "materialized"
-        monkeypatch.setenv("REPRO_PIPELINE", "bogus")
-        assert default_pipeline() == "auto"
+        monkeypatch.setenv("REPRO_PIPELINE", " Fused ")
+        assert default_pipeline() == "fused"
+        # Anything else is a typo, not a request: fail loudly, naming the
+        # accepted values, instead of silently picking a pipeline.
+        for bogus in ("bogus", "off", "0"):
+            monkeypatch.setenv("REPRO_PIPELINE", bogus)
+            with pytest.raises(ValueError, match=r"REPRO_PIPELINE.*auto\|fused\|materialized"):
+                default_pipeline()
+
+    def test_compute_rejects_unknown_pipeline(self, tmp_path):
+        engine = ExperimentEngine(store=ResultStore(tmp_path))
+        with pytest.raises(ValueError, match="unknown pipeline 'fsued'"):
+            engine.compute(ExperimentConfig(workload="li"), pipeline="fsued")
 
     def test_resolution_auto_follows_snapshot_layer(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_PIPELINE", raising=False)

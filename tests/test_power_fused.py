@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import POLICY_NAMES, compute_evaluation, policy_for
+from repro.experiments import POLICY_NAMES, ExperimentConfig, default_engine
 from repro.experiments.runner import WorkloadEvaluation
 from repro.hardware import (
     CooperativeGating,
@@ -32,19 +32,20 @@ from repro.hardware import (
     SignificanceCompression,
     SizeCompression,
     SoftwareGating,
+    gating,
 )
 from repro.isa import INT64_MAX, INT64_MIN, OpKind, Opcode, Width
 from repro.power import STRUCTURES, EnergyAccountant, MultiPolicyEnergyAccountant
 from repro.sim import Trace
 from repro.sim.trace import StaticEntry, StaticInfo, TraceRecord
 from repro.uarch import TimingResult
-from repro.workloads import SUITE_NAMES, workload_by_name
+from repro.workloads import SUITE_NAMES
 
 _MUL_ENERGY_FACTOR = 3.0
 
 
 def _all_policies() -> dict[str, GatingPolicy]:
-    return {name: policy_for(name) for name in POLICY_NAMES}
+    return gating.registry()
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +327,7 @@ class TestFusedDifferential:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ijpeg_evaluation():
-    return compute_evaluation(workload_by_name("ijpeg"), mechanism="none")
+    return default_engine().compute(ExperimentConfig(workload="ijpeg"))
 
 
 def _assert_fused_equals_sequential(trace, timing):
@@ -347,7 +348,7 @@ class TestRealWorkloads:
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_fused_equals_sequential_on_suite_workload(name):
     """Exact fused/sequential equivalence over every real suite trace."""
-    evaluation = compute_evaluation(workload_by_name(name), mechanism="none")
+    evaluation = default_engine().compute(ExperimentConfig(workload=name))
     _assert_fused_equals_sequential(evaluation.trace, evaluation.timing)
 
 

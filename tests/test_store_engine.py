@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -310,6 +311,48 @@ class TestEngine:
         assert results[0] is results[1]
         assert len(store.entries()) == 1
 
+    def test_serial_map_delivers_points_another_caller_memoized(self, store, monkeypatch):
+        """The serial loop skips only what *this* call delivered: a point
+        memoized meanwhile by a reentrant callback (or another thread
+        sharing the engine) must still reach this call's results."""
+        from repro.workloads import suite
+
+        monkeypatch.setitem(suite._REGISTRY, "tiny", make_tiny)
+        engine = ExperimentEngine(store=store, jobs=1)
+        configs = [
+            ExperimentConfig(workload="tiny"),
+            ExperimentConfig(workload="tiny", mechanism="vrp"),
+        ]
+        fired = []
+
+        def on_result(index, evaluation):
+            fired.append(index)
+            if index == 0:
+                engine.evaluate(configs[1])
+
+        results = engine.map(configs, jobs=1, on_result=on_result)
+        assert all(result is not None for result in results)
+        assert sorted(fired) == [0, 1]
+        assert results[1].summarize().to_json_dict() == (
+            engine.evaluate(configs[1]).summarize().to_json_dict()
+        )
+
+    def test_publish_errors_are_not_classified_as_compute_failures(self, store, monkeypatch):
+        """``on_error="keep"`` covers failed simulations only; a store-side
+        error after a successful compute propagates as itself."""
+        from repro.experiments.resilience import EvaluationError
+
+        def broken_save(key, summary):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(store, "save", broken_save)
+        engine = ExperimentEngine(store=store, jobs=1)
+        with pytest.raises(RuntimeError, match="disk on fire") as excinfo:
+            engine.evaluate(
+                ExperimentConfig(workload="tiny"), workload=make_tiny(), on_error="keep"
+            )
+        assert not isinstance(excinfo.value, EvaluationError)
+
     def test_parallel_and_serial_summaries_are_identical(self, tmp_path):
         """Pool-computed evaluations are observationally equal to serial ones.
 
@@ -331,6 +374,87 @@ class TestEngine:
                 parallel_evaluation.summarize().to_json_dict()
                 == serial_evaluation.summarize().to_json_dict()
             )
+
+
+class TestColdResolveEntryPoints:
+    """``evaluate``, the serial loop of ``map`` and the pool-worker entry
+    ``_compute_summary_for`` share one cold resolver; whatever the store
+    holds, they must report the same summary and the same provenance."""
+
+    CONFIG = ExperimentConfig(workload="tiny", mechanism="vrp")
+
+    #: Store state → expected ``(freshly_computed, replayed_from_store)``.
+    STATES = {
+        "cold": (True, False),
+        "snapshot-only": (False, True),
+        "summary": (False, False),
+    }
+
+    @pytest.fixture
+    def seeded(self, tmp_path, monkeypatch):
+        """A factory for fresh stores in each of the three states."""
+        from repro.workloads import suite
+
+        monkeypatch.setitem(suite._REGISTRY, "tiny", make_tiny)
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+        template = tmp_path / "template"
+        engine = ExperimentEngine(store=ResultStore(template), jobs=1)
+        assert engine.evaluate(self.CONFIG).freshly_computed
+        key = engine.key_for(self.CONFIG)
+        counter = iter(range(1000))
+
+        def make(state: str) -> str:
+            root = tmp_path / f"{state}-{next(counter)}"
+            if state != "cold":
+                shutil.copytree(template, root)
+            if state == "snapshot-only":
+                ResultStore(root).path_for(key).unlink()
+            return str(root)
+
+        return make
+
+    def _via_evaluate(self, root):
+        engine = ExperimentEngine(store=ResultStore(root), jobs=1)
+        evaluation = engine.evaluate(self.CONFIG)
+        return evaluation, (evaluation.freshly_computed, evaluation.replayed_from_store)
+
+    def _via_map(self, root):
+        engine = ExperimentEngine(store=ResultStore(root), jobs=1)
+        [evaluation] = engine.map([self.CONFIG], jobs=1)
+        return evaluation, (evaluation.freshly_computed, evaluation.replayed_from_store)
+
+    def test_entry_points_agree_in_every_store_state(self, seeded):
+        from repro.experiments.engine import _compute_summary_for
+
+        summaries = []
+        for state, expected_flags in self.STATES.items():
+            evaluated, evaluate_flags = self._via_evaluate(seeded(state))
+            mapped, map_flags = self._via_map(seeded(state))
+            _, worker_summary, provenance = _compute_summary_for(self.CONFIG, seeded(state))
+            worker_flags = (provenance == "computed", provenance == "replayed")
+            assert evaluate_flags == map_flags == worker_flags == expected_flags, state
+            summaries += [
+                evaluated.summarize().to_json_dict(),
+                mapped.summarize().to_json_dict(),
+                worker_summary,
+            ]
+        # Replay is bit-identical to simulation, so one summary fits all —
+        # except VRP's wall-clock analysis time, which each cold compute
+        # measures afresh.
+        for summary in summaries:
+            summary["vrp"].pop("analysis_seconds")
+        assert all(summary == summaries[0] for summary in summaries)
+
+    def test_evaluate_returns_live_evaluation_only_when_it_computes(self, seeded):
+        computed, _ = self._via_evaluate(seeded("cold"))
+        assert computed.trace is not None and computed.program is not None
+        for state in ("snapshot-only", "summary"):
+            restored, _ = self._via_evaluate(seeded(state))
+            assert restored.is_restored, state
+        # map() always hands out restored evaluations, even for cold points.
+        mapped, _ = self._via_map(seeded("cold"))
+        assert mapped.is_restored
 
 
 def test_fresh_process_is_served_without_simulation(tmp_path):
@@ -412,7 +536,7 @@ def test_cli_profile_prints_cumulative_top(capsys):
     assert "profile: workload=ijpeg" in out
     assert "dynamic instructions" in out
     assert "cumulative" in out  # pstats ordering header
-    assert "compute_evaluation" in out
+    assert "_compute_evaluation" in out
 
 
 def test_cli_profile_rejects_unknown_workload(capsys):

@@ -23,7 +23,6 @@ from repro.experiments import (
     SweepRow,
     SweepSpec,
     default_sweep_configs,
-    policy_for,
 )
 from repro.hardware import gating
 from repro.uarch import CacheConfig, MachineConfig
@@ -91,7 +90,6 @@ class TestGatingRegistry:
 
     def test_get_returns_shared_instances(self):
         assert gating.get("hw-size") is gating.get("hw-size")
-        assert policy_for("hw-size") is gating.get("hw-size")
 
     def test_cooperative_keys_are_config_names(self):
         """Registry keys are configuration names; the instances' own

@@ -32,8 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble_program
-from repro.experiments import POLICY_NAMES, policy_for
+from repro.experiments import POLICY_NAMES
 from repro.experiments.summary import COUNTED_KINDS, aggregate_trace
+from repro.hardware import gating
 from repro.isa import OpKind, Width, significant_bytes
 from repro.isa.opcodes import OPERATION_TYPE
 from repro.power import MultiPolicyEnergyAccountant
@@ -239,7 +240,7 @@ def _canonical_shapes(legacy_counts):
 
 
 def _all_policies():
-    return {name: policy_for(name) for name in POLICY_NAMES}
+    return gating.registry()
 
 
 # ----------------------------------------------------------------------
