@@ -3,7 +3,7 @@
 The compiled kernel (``repro/uarch/tkernel.py``) replaced the reference
 scoreboard's per-record method calls, dataclass attribute walks and
 per-cycle usage dicts with generated per-config source over packed
-static data, ring-buffer slot allocators and inlined cache/predictor
+static data, sliding-window slot allocators and inlined cache/predictor
 state.  This benchmark measures the end-to-end timing walk
 (``OutOfOrderModel.run``) on suite workload traces for both tiers, with
 every per-trace artifact (address column, packed static table, compiled

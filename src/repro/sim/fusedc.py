@@ -333,14 +333,6 @@ _CONST_VALUE = re.compile(r"^\(?(-?\d+)\)?$")
 #: significance is already cached in the ``rsig`` list.
 _REG_VALUE = re.compile(r"^r(\d+)$")
 
-#: log2 of the initial capacity of the spliced slot-allocator rings.
-#: 16384 cycles is far beyond any reachable issue-to-fetch span of the
-#: Table 2 machine (the 64-entry window bounds it to a few thousand
-#: cycles even on pathological miss chains); the rings grow on a live
-#: collision regardless, so this is a sizing hint, not a correctness
-#: bound.
-_RING_BITS = 14
-
 #: Process-wide source→code-object cache.  ``compile()`` of a fused
 #: source dominates cold compile cost (~0.13 s for a suite workload);
 #: the generated text is a complete fingerprint of everything that
@@ -402,20 +394,21 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     The unit decomposition, straight-line simulation code and control
     tails mirror :func:`repro.sim.blockc.compile_blocks` exactly; the
     per-record timing updates run the scoreboard arithmetic of the
-    trace walk in :mod:`repro.uarch.tkernel` for *config* (same ring
-    and cache helpers, same config literals), with each record's pc,
-    fetch line and cache tags folded in as literals as well.  ``probe``
+    trace walk in :mod:`repro.uarch.tkernel` for *config* (same slot
+    allocator and cache helpers, same config literals), with each
+    record's pc, fetch line and cache tags folded in as literals as well.  ``probe``
     additionally emits a per-record snapshot of the timing counters into
     a caller-supplied sink — the hook ``compare_fused`` uses to bisect a
     divergence to the exact record.
     """
     from ..uarch.config import MachineConfig
     from ..uarch.tkernel import (
+        _allocator_init,
         _div,
         _fu_probe,
-        _grow_ring,
         _mod,
         _ring_probe,
+        _slide,
         _table_for,
     )
 
@@ -441,22 +434,21 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     )
     l2_extra = l2cfg.miss_penalty_cycles + memory_latency
     frontend = config.frontend_depth
-    ring_capacity = 1 << _RING_BITS
 
     gshare_mask = predictor.gshare_entries - 1
     bimodal_mask = predictor.bimodal_entries - 1
     selector_mask = predictor.selector_entries - 1
     history_mask = (1 << predictor.history_bits) - 1
 
-    # Rings that can actually bind (a functional-unit probe is elided
-    # when its width covers the whole issue width).
-    rings = ["iss"]
+    # Slot allocators that can actually bind (a functional-unit probe is
+    # elided when its width covers the whole issue width).
+    allocators = ["iss"]
     if config.int_alus < config.issue_width:
-        rings.append("alu")
+        allocators.append("alu")
     if config.int_muls < config.issue_width:
-        rings.append("mul")
+        allocators.append("mul")
     if config.lsq_ports < config.issue_width:
-        rings.append("lsq")
+        allocators.append("lsq")
 
     # -- per-record timing snippets (relative indentation; the writer
     # -- prepends the unit-body indent) -------------------------------
@@ -992,22 +984,21 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
 
         body.append(f"    def _u{entry}():")
         if counted:
-            # Declare exactly the timing scalars (and grow-reassignable
-            # ring names) this unit's tail touches.  A per-unit
+            # Declare exactly the timing scalars (and slot-allocator
+            # scalars; a window list is edited in place, never rebound)
+            # this unit's tail touches.  A per-unit
             # load-into-locals/write-back scheme was measured against
             # this and lost slightly on CPython 3.11 — cell access costs
             # about the same as a local, so the transfer code is pure
             # overhead for short units.
             words = set(re.findall(r"\w+", "\n".join(tail)))
             mutated = [n for n in _SCALARS if n in words]
-            for ring in rings:
-                if f"{ring}_cycle_at" in words:
+            for allocator in allocators:
+                if f"{allocator}_base" in words:
                     mutated += (
-                        f"{ring}_cycle_at",
-                        f"{ring}_count",
-                        f"{ring}_mask",
-                        f"{ring}_skip_from",
-                        f"{ring}_skip_to",
+                        f"{allocator}_base",
+                        f"{allocator}_skip_from",
+                        f"{allocator}_skip_to",
                     )
             for start in range(0, len(mutated), 6):
                 chunk = ", ".join(mutated[start : start + 6])
@@ -1028,7 +1019,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         # write-back, so operand sigs for register-entry values are a
         # list index instead of a dict probe.
         "    rsig = list(map(sig_get, regs))",
-        "    (_ioa, _bs, _fe, _W8, _W16, _W32, _W64, _grow_ring,) = consts",
+        "    (_ioa, _bs, _fe, _W8, _W16, _W32, _W64, _slide,) = consts",
     ]
     if icfg.associativity == 2:
         lines.append(
@@ -1050,12 +1041,8 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     lines.append(f"    selector = [2] * {predictor.selector_entries}")
     lines.append("    history = 0")
     lines.append("    lookups = mispredictions = 0")
-    for ring in rings:
-        lines.append(
-            f"    {ring}_cycle_at, {ring}_count, {ring}_mask = "
-            f"[-1] * {ring_capacity}, [0] * {ring_capacity}, {ring_capacity - 1}"
-        )
-        lines.append(f"    {ring}_skip_from = {ring}_skip_to = -1")
+    for allocator in allocators:
+        lines.append("    " + _allocator_init(allocator))
     lines.append("    commit_frontier = -1")
     lines.append("    commit_used = 0")
     lines.append(f"    reg_ready = [0] * {table.num_regs}")
@@ -1131,7 +1118,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         Width.HALF,
         Width.WORD,
         Width.QUAD,
-        _grow_ring,
+        _slide,
     )
     return FusedProgram(
         bind=namespace["bind"],

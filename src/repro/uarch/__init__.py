@@ -3,7 +3,7 @@
 Two bit-identical kernel tiers run the model: the reference scoreboard
 walk (:meth:`OutOfOrderModel.run_reference`) and the compiled kernel
 (:mod:`repro.uarch.tkernel`, the default — packed static table,
-ring-buffer slot allocators, inlined caches/predictor).  Select with
+sliding-window slot allocators, inlined caches/predictor).  Select with
 ``REPRO_TIMING_KERNEL`` or ``OutOfOrderModel(kernel=...)``; see
 ``docs/timing.md``.
 """

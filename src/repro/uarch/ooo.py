@@ -29,7 +29,7 @@ The model comes in **two kernel tiers** (see ``docs/timing.md``):
   in ``tests/test_trace_columnar.py`` asserts exactly that).
 * ``compiled`` (the default) — the specialized kernel in
   :mod:`repro.uarch.tkernel`: the same scoreboard arithmetic over a
-  packed per-uid static table, ring-buffer slot allocators and inlined
+  packed per-uid static table, sliding-window slot allocators and inlined
   cache/predictor state.  Bit-exact against the reference tier on every
   :class:`TimingResult` field (``tests/test_uarch_timing.py``), ~3-4x
   faster (``benchmarks/bench_timing.py`` enforces ≥2x in CI).

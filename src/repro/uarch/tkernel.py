@@ -11,7 +11,7 @@ simulator's block compiler uses) driven off precomputed packed data:
   machine parameter is baked in as a literal, power-of-two
   cache/line/window arithmetic compiles to shifts and masks, and only
   the group's cache-associativity variant is emitted.  Compiled once
-  per (config tuple, address mode) and cached for the process;
+  per (config tuple, address mode) and cached (FIFO-bounded);
   :func:`run_compiled` is the one-lane case of :func:`run_compiled_many`.
 
 * **Packed static table** (:class:`StaticTable`): the per-uid facts the
@@ -26,17 +26,16 @@ simulator's block compiler uses) driven off precomputed packed data:
   fetch-line number and branch pc per uid and iterates the meta column
   alone; hand-built traces take the explicit two-column variant.
 
-* **Ring-buffer slot allocators**: the reference model's ``_Slots``
-  (a per-cycle usage dict) becomes a pair of flat lists per allocator —
-  ``cycle_at[slot]``/``count[slot]`` with ``slot = cycle & mask`` — so
-  an ``allocate`` is list indexing instead of dict probing, and the
-  occupancy state is bounded by the ring capacity instead of growing
-  with the cycle count.  Equivalence is unconditional: a slot write
-  that would clobber a *live* tenant (tenant cycle ≥ the monotone probe
-  floor ``fetch + frontend_depth``) grows the ring first
-  (:func:`_grow_ring`); stale tenants are below every future probe, so
-  overwriting them is exactly the dict allocator's garbage.  A
-  known-full interval memo collapses the re-walk of saturated cycles
+* **Sliding-window slot allocators**: the reference model's ``_Slots``
+  (a per-cycle usage dict) becomes one flat list per allocator, a
+  window ``occ`` with ``occ[k]`` the usage of cycle ``base + k``, so an
+  ``allocate`` is list indexing instead of dict probing.  Equivalence
+  rests on one invariant, ``base <= floor <= every probe cycle`` (the
+  floor ``fetch + frontend_depth`` is monotone): a probe past the end
+  raises ``IndexError`` and :func:`_slide` drops the entries below the
+  floor — cycles no future probe can reach, exactly the dict
+  allocator's garbage — and extends the window until the cycle fits.
+  A known-full interval memo collapses the re-walk of saturated cycles
   (see :func:`_ring_probe`), and the retire allocator's probes are
   monotone (``max(complete, last_commit)``), so it collapses further,
   to a frontier ``(cycle, used)`` scalar pair.
@@ -96,13 +95,12 @@ HOT_FU = HOT_IMUL | HOT_MEM
 HOT_LS = HOT_LOAD | HOT_STORE
 HOT_CTRL = HOT_BRANCH | HOT_CALL_RETURN
 
-#: log2 of the initial capacity of each lane's slot-allocator rings.
-#: Every lane allocates up to four rings and a walk carries up to
-#: :data:`MULTI_KERNEL_MAX_LANES` lanes, so the rings start small; they
-#: grow on a live collision (:func:`_grow_ring`), which makes this a
-#: sizing hint, not a correctness bound.  Tests shrink it to force the
-#: growth path.
-_RING_BITS = 12
+#: Initial (and minimum extended) length of every slot-allocator
+#: window, shared by this walk and the fused splice
+#: (``repro.sim.fusedc``).  Windows slide and extend on demand
+#: (:func:`_slide`), so this is a sizing hint, not a correctness bound;
+#: tests shrink it to one entry to force the slide path.
+_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -247,26 +245,22 @@ def _table_for(static: StaticInfo) -> StaticTable:
     return table
 
 
-def _grow_ring(
-    cycle_at: list, count: list, floor: int, span: int
-) -> tuple[list, list, int]:
-    """Grow a ring until ``span`` fits, rehashing live entries (≥ ``floor``).
+def _slide(occ: list, base: int, floor: int, cycle: int) -> int:
+    """Slide window ``occ`` (usage of cycle ``base + k`` at ``occ[k]``)
+    so that ``cycle`` fits; returns the new base.
 
-    Entries below the monotone probe floor can never be probed again, so
-    dropping them is exactly what the dict allocator's garbage is.
+    Entries below the monotone probe floor can never be probed again,
+    so dropping them is exactly what the dict allocator's garbage is.
+    Live counts keep their cycle; the list is edited in place (the fused
+    splice never rebinds it).  Extending to at least twice the live span
+    (and at least :data:`_WINDOW`) keeps slides amortized O(1).
     """
-    capacity = 2 * len(cycle_at)
-    while capacity <= span:
-        capacity *= 2
-    mask = capacity - 1
-    new_cycle_at = [-1] * capacity
-    new_count = [0] * capacity
-    for cycle, used in zip(cycle_at, count):
-        if cycle >= floor:
-            slot = cycle & mask
-            new_cycle_at[slot] = cycle
-            new_count[slot] = used
-    return new_cycle_at, new_count, mask
+    if floor > base:
+        del occ[: floor - base]
+        base = floor
+    need = cycle - base + 1
+    occ.extend([0] * (max(need, 2 * len(occ), _WINDOW) - len(occ)))
+    return base
 
 
 def _div(value_expr: str, divisor: int) -> str:
@@ -283,6 +277,12 @@ def _mod(value_expr: str, divisor: int) -> str:
     return f"({value_expr} % {divisor})"
 
 
+def _allocator_init(name: str) -> str:
+    """Source initializing allocator ``name``'s state for :func:`_ring_probe`:
+    an empty window at base 0 and an empty known-full interval."""
+    return f"{name}_occ, {name}_base, {name}_skip_from, {name}_skip_to = [0] * {_WINDOW}, 0, -1, -1"
+
+
 def _ring_probe(
     name: str,
     width: int,
@@ -290,11 +290,14 @@ def _ring_probe(
     cycle_var: str = "cycle",
     floor_var: str = "floor",
 ) -> str:
-    """Source for one inlined ring-allocator probe from ``cycle_var``.
+    """Source for one inlined slot-allocator probe from ``cycle_var``.
 
-    A slot write may only clobber a stale tenant (``old < floor``:
-    below every future probe); a live collision grows the ring and
-    re-probes, so dict-allocator equivalence is unconditional.
+    ``{name}_occ[k]`` counts the grants at cycle ``{name}_base + k``.
+    The read sits in a ``try`` (free when nothing is raised); a cycle
+    past the window's end slides it (:func:`_slide`), after which its
+    fresh entry is empty.  Since ``base <= floor <= cycle`` always
+    holds, the index is never negative and there is no aliasing, so
+    dict-allocator equivalence is unconditional.
 
     Saturated-prefix memoization: per-cycle usage only ever grows, so a
     cycle once seen full stays full.  Each allocator remembers one
@@ -311,31 +314,23 @@ def _ring_probe(
     """
     n = name
     c = cycle_var
-    f = floor_var
     lines = [
         "while True:",
-        f"    slot = {c} & {n}_mask",
-        f"    old = {n}_cycle_at[slot]",
-        f"    if old == {c}:",
-        f"        used = {n}_count[slot]",
-        f"        if used < {width}:",
-        f"            {n}_count[slot] = used + 1",
-        "            break",
-        f"        if {n}_skip_from <= {c} < {n}_skip_to:",
-        f"            {c} = {n}_skip_to",
-        f"        elif {c} == {n}_skip_to:",
-        f"            {n}_skip_to = {c} = {c} + 1",
-        "        else:",
-        f"            {n}_skip_from = {c}",
-        f"            {n}_skip_to = {c} = {c} + 1",
-        f"    elif old < {f}:",
-        f"        {n}_cycle_at[slot] = {c}",
-        f"        {n}_count[slot] = 1",
+        "    try:",
+        f"        used = {n}_occ[{c} - {n}_base]",
+        "    except IndexError:",
+        f"        {n}_base = _slide({n}_occ, {n}_base, {floor_var}, {c})",
+        "        used = 0",
+        f"    if used < {width}:",
+        f"        {n}_occ[{c} - {n}_base] = used + 1",
         "        break",
+        f"    if {n}_skip_from <= {c} < {n}_skip_to:",
+        f"        {c} = {n}_skip_to",
+        f"    elif {c} == {n}_skip_to:",
+        f"        {n}_skip_to = {c} = {c} + 1",
         "    else:",
-        f"        {n}_cycle_at, {n}_count, {n}_mask = _grow_ring(",
-        f"            {n}_cycle_at, {n}_count, {f}, {c} - {f}",
-        "        )",
+        f"        {n}_skip_from = {c}",
+        f"        {n}_skip_to = {c} = {c} + 1",
     ]
     return "\n".join(indent + line for line in lines)
 
@@ -351,11 +346,11 @@ def _fu_probe(
     """A functional-unit probe, or ``None`` when it can never bind.
 
     Every record reaches its functional-unit class at the cycle the
-    issue probe granted, and the issue ring admits at most
+    issue probe granted, and the issue allocator admits at most
     ``issue_width`` grants per cycle — so a class with at least
     ``issue_width`` units sees at most ``issue_width`` same-cycle
     probes, never saturates, never defers a probe to a later cycle, and
-    (by induction) never accumulates carryover demand.  Its ring is
+    (by induction) never accumulates carryover demand.  Its window is
     then pure bookkeeping that nothing reads: the probe is a timing
     no-op and is elided from the generated walk entirely.
     """
@@ -433,7 +428,7 @@ def _static_of_for(static: StaticInfo, table: StaticTable, addr_map, line_bytes:
 # latencies.  The walk exploits this: the generated
 # source walks the trace once, computes the shared stream once per
 # record, and carries one scoreboard *lane* per config (suffixed
-# locals, per-lane ring allocators) with that lane's constants baked
+# locals, per-lane slot allocators) with that lane's constants baked
 # in as literals — so N configs cost one trace decode, one static
 # lookup, one cache/predictor simulation, plus N scoreboards.  A single
 # config is a one-lane walk.
@@ -489,7 +484,6 @@ def _kernel_source(configs: tuple, derived: bool) -> str:
     shape = configs[0]
     icfg, dcfg, l2cfg = shape.icache, shape.dcache, shape.l2cache
     pcfg = shape.predictor
-    rc = 1 << _RING_BITS
     lanes = range(n)
     same_window = len({c.max_in_flight for c in configs}) == 1
     src: list[str] = []
@@ -600,26 +594,24 @@ def _kernel_source(configs: tuple, derived: bool) -> str:
     emit(1, "current_fetch_line = -1")
     emit(1, "mem_cursor = 0")
     emit(1, "redirect_pending = False")
-    def binding_rings(lane: int) -> list[str]:
-        # Functional-unit rings with at least issue_width units can
+    def binding_allocators(lane: int) -> list[str]:
+        # Functional-unit allocators with at least issue_width units can
         # never bind (see _fu_probe) and are elided per lane.
         config = configs[lane]
-        rings = ["iss"]
-        for ring, width in (
+        allocators = ["iss"]
+        for allocator, width in (
             ("alu", config.int_alus),
             ("mul", config.int_muls),
             ("lsq", config.lsq_ports),
         ):
             if width < config.issue_width:
-                rings.append(ring)
-        return rings
+                allocators.append(allocator)
+        return allocators
 
     for lane in lanes:
         config = configs[lane]
-        for ring in binding_rings(lane):
-            name = f"{ring}{lane}"
-            emit(1, f"{name}_cycle_at, {name}_count, {name}_mask = [-1] * {rc}, [0] * {rc}, {rc - 1}")
-            emit(1, f"{name}_skip_from = {name}_skip_to = -1")
+        for allocator in binding_allocators(lane):
+            emit(1, _allocator_init(f"{allocator}{lane}"))
         emit(1, f"cf{lane} = -1")
         emit(1, f"cu{lane} = 0")
         emit(1, f"rr{lane} = [0] * num_regs")
@@ -731,11 +723,11 @@ def _kernel_source(configs: tuple, derived: bool) -> str:
 
     # Shared FU-class dispatch, per-lane functional-unit probes
     # (lanes whose class can never bind are elided, see _fu_probe).
-    def emit_fu_probes(ring: str, widths, indent: str, pad_depth: int) -> None:
+    def emit_fu_probes(allocator: str, widths, indent: str, pad_depth: int) -> None:
         emitted = False
         for lane in lanes:
             probe = _fu_probe(
-                f"{ring}{lane}",
+                f"{allocator}{lane}",
                 widths[lane],
                 configs[lane].issue_width,
                 indent,
@@ -948,16 +940,21 @@ def _kernel_source(configs: tuple, derived: bool) -> str:
 
 
 #: (lane-config tuple, derived) -> compiled walk (configs are frozen/hashable).
+#: The key is the *ordered* lane tuple and the service accepts any config
+#: list, so the cache is bounded: first in, first out at the limit.
 _KERNEL_CACHE: dict = {}
+_KERNEL_CACHE_LIMIT = 32
 
 
 def _kernel_for(configs: tuple, derived: bool):
     key = (configs, derived)
     walk = _KERNEL_CACHE.get(key)
     if walk is None:
-        namespace = {"_grow_ring": _grow_ring}
+        namespace = {"_slide": _slide}
         exec(compile(_kernel_source(configs, derived), "<timing-kernel>", "exec"), namespace)
         walk = namespace["_timing_walk"]
+        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
+            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
         _KERNEL_CACHE[key] = walk
     return walk
 

@@ -107,7 +107,7 @@ def _programs(draw) -> str:
     """Small terminating programs stressing every fused codegen shape.
 
     Calls/returns (redirects + call counters), ALU/MUL/LSQ traffic (all
-    functional-unit rings), dependence chains through one register
+    functional-unit allocators), dependence chains through one register
     (run-length memo breaks on every width change), stores+loads (dcache
     paths) and data-dependent branches (ghost/live conditional arms).
     """
@@ -179,7 +179,7 @@ class TestGeneratedPrograms:
     @settings(max_examples=10, deadline=None)
     @given(_programs())
     def test_fused_equals_materialized_on_narrow_machine(self, asm):
-        """Non-default widths change every ring/allocator literal baked
+        """Non-default widths change every allocator literal baked
         into the generated source."""
         _assert_fused_exact(assemble_program(asm), NARROW)
 

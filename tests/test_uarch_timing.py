@@ -4,8 +4,8 @@ The out-of-order model has two kernel tiers: the reference scoreboard
 walk (`OutOfOrderModel.run_reference`, locked against a verbatim
 record-list copy by ``tests/test_trace_columnar.py``) and the compiled
 kernel (`repro/uarch/tkernel.py`: one generated lane-parallel trace
-walk over a packed static table, ring-buffer slot allocators, inlined
-caches and predictor; ``run_compiled`` is its one-lane case).  This
+walk over a packed static table, sliding-window slot allocators,
+inlined caches and predictor; ``run_compiled`` is its one-lane case).  This
 suite locks every compiled lane against the reference tier
 **field-for-field on every TimingResult member** — cycles, predictor
 counters, cache/L2 counters, loads/stores — over:
@@ -17,7 +17,7 @@ counters, cache/L2 counters, loads/stores — over:
 3. non-default machine configurations (narrow widths, non-2-way and
    non-power-of-two caches, tiny predictors) that force the generic
    codegen variants,
-4. adversarial probes: forced ring growth, the missing-static-uid
+4. adversarial probes: forced window slides, the missing-static-uid
    ``KeyError`` equivalence, and mem-flagged records on non-memory
    instructions (sparse-column cursor alignment).
 
@@ -427,6 +427,24 @@ class TestMultiConfigKernel:
         assert len(generated) == 1
         assert len(tkernel._KERNEL_CACHE) == 1
 
+    def test_kernel_cache_is_bounded(self, monkeypatch):
+        """Compiling past the limit evicts first-in-first-out (the key is
+        the ordered lane tuple, so a long-lived service could otherwise
+        accumulate walks) and every result stays exact."""
+        monkeypatch.setattr(tkernel, "_KERNEL_CACHE", {})
+        monkeypatch.setattr(tkernel, "_KERNEL_CACHE_LIMIT", 3)
+        trace = _machine_trace(_SMOKE_ASM)
+        configs = [replace(MachineConfig(), max_in_flight=w) for w in (16, 24, 32, 40, 48)]
+        for config in configs:
+            result = tkernel.run_compiled(trace, config)
+            assert asdict(result) == asdict(OutOfOrderModel(config).run_reference(trace))
+            assert len(tkernel._KERNEL_CACHE) <= 3
+        assert [key[0] for key in tkernel._KERNEL_CACHE] == [(c,) for c in configs[2:]]
+        assert asdict(tkernel.run_compiled(trace, configs[0])) == asdict(
+            OutOfOrderModel(configs[0]).run_reference(trace)
+        )
+        assert len(tkernel._KERNEL_CACHE) == 3
+
     def test_empty_batch(self):
         assert tkernel.run_compiled_many(_machine_trace(_SMOKE_ASM), []) == []
 
@@ -482,19 +500,40 @@ class TestAdversarialProbes:
                 model.run(broken, kernel=kernel)
             assert exc.value.args[0] == bogus_uid
 
-    def test_forced_ring_growth_stays_bit_exact(self, monkeypatch):
-        """An 8-entry ring collides constantly; growth must preserve
-        exact equivalence with the dict allocator, in a one-lane walk
-        and in every lane of a multi-lane one."""
-        trace = _machine_trace(_SMOKE_ASM)
-        narrow = replace(MachineConfig(), issue_width=2, int_alus=1, lsq_ports=1)
-        configs = [MachineConfig(), narrow]
-        reference = [asdict(OutOfOrderModel(c).run_reference(trace)) for c in configs]
-        monkeypatch.setattr(tkernel, "_RING_BITS", 3)
+    @pytest.mark.parametrize("name", ("li", "compress"))
+    def test_forced_window_slides_stay_bit_exact(self, monkeypatch, name):
+        """One-entry allocator windows slide on nearly every probe; every
+        lane of a multi-lane walk and the fused pipeline must still match
+        the dict allocator, under saturated cycles (``narrow-2``) and
+        large floor jumps (``slow-memory``)."""
+        from repro.experiments.sweep import default_sweep_configs
+        from repro.sim import fusedc
+
+        named = dict(default_sweep_configs())
+        configs = [named["narrow-2"], named["slow-memory"]]
+        workload = workload_by_name(name)
+        program = workload.build()
+        workload.apply_input(program, "ref")
+        machine = Machine(program)
+        trace = machine.run(collect_trace=True).trace
+        reference = [OutOfOrderModel(c).run_reference(trace) for c in configs]
+
+        slides = []
+        real_slide = tkernel._slide
+        monkeypatch.setattr(tkernel, "_WINDOW", 1)
+        monkeypatch.setattr(
+            tkernel, "_slide", lambda *a: slides.append(1) or real_slide(*a)
+        )
         monkeypatch.setattr(tkernel, "_KERNEL_CACHE", {})
-        assert asdict(OutOfOrderModel().run(trace, kernel="compiled")) == reference[0]
-        batched = tkernel.run_compiled_many(trace, configs)
-        assert [asdict(result) for result in batched] == reference
+        monkeypatch.setattr(fusedc, "_CODE_CACHE", {})
+        monkeypatch.setattr(fusedc, "_PROGRAM_CACHE", {})
+        assert tkernel.run_compiled_many(trace, configs) == reference
+        walk_slides = len(slides)
+        assert walk_slides > 100
+        for config, expected in zip(configs, reference):
+            fused = machine.run(pipeline="fused", machine_config=config).fused
+            assert fused.timing == expected
+        assert len(slides) - walk_slides > 100
 
     def test_mem_flag_on_non_memory_record_keeps_cursor_aligned(self):
         """A hand-built ALU record carrying a mem address must consume
@@ -822,16 +861,19 @@ class TestSlotAllocators:
         assert max(observed) <= 64 + 128
 
 
-def test_ring_allocator_growth_rehashes_live_entries():
-    cycle_at, count = [-1] * 8, [0] * 8
-    # Live tenants at cycles 100..103 (slots 4..7), stale one at cycle 3.
-    for cycle in (100, 101, 102, 103):
-        cycle_at[cycle & 7] = cycle
-        count[cycle & 7] = 2
-    cycle_at[3], count[3] = 3, 9
-    new_cycle_at, new_count, mask = tkernel._grow_ring(cycle_at, count, 100, 40)
-    assert mask >= 63  # grew until the span fits
-    for cycle in (100, 101, 102, 103):
-        assert new_cycle_at[cycle & mask] == cycle
-        assert new_count[cycle & mask] == 2
-    assert all(c != 3 for c in new_cycle_at)  # the stale tenant is gone
+def test_slide_drops_only_entries_below_the_floor():
+    # Window over cycles 90..97: counts 1..8.
+    occ = list(range(1, 9))
+    base = tkernel._slide(occ, 90, 94, 140)
+    assert base == 94  # cycles 90..93 sat below the floor
+    assert occ[:4] == [5, 6, 7, 8]  # live counts keep their cycle
+    assert 140 - base < len(occ)  # extended until the probe fits
+    assert not any(occ[4:])
+    # A floor already at the base drops nothing.
+    occ = [3, 0, 2]
+    assert tkernel._slide(occ, 10, 10, 20) == 10
+    assert occ[:3] == [3, 0, 2] and len(occ) > 10
+    # A floor past the whole window drops everything.
+    occ = [1, 1]
+    assert tkernel._slide(occ, 0, 50, 51) == 50
+    assert occ[:2] == [0, 0]
