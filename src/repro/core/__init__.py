@@ -23,7 +23,7 @@ from .refinement import BranchConstraints, compute_branch_constraints
 from .specialize import SpecializationRecord, specialize_candidate
 from .transfer import forward_transfer
 from .vrs import CandidateOutcome, VRSConfig, VRSResult, run_vrs
-from .trip_count import LoopPins, analyze_loop_iterators
+from .trip_count import LoopPins, find_loop_iterators, pin_loop_iterators
 from .useful import UsefulBitsConfig, compute_useful_bits
 from .value_range import FULL_RANGE, ValueRange, bits_needed_for_mask, range_for_width
 from .vrp import VRPResult, apply_widths, run_vrp
@@ -53,7 +53,8 @@ __all__ = [
     "VRPConfig",
     "forward_transfer",
     "LoopPins",
-    "analyze_loop_iterators",
+    "find_loop_iterators",
+    "pin_loop_iterators",
     "UsefulBitsConfig",
     "compute_useful_bits",
     "FULL_RANGE",

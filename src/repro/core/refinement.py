@@ -25,37 +25,25 @@ from ..isa import Imm, Instruction, Opcode, Reg
 from ..ir import DependenceGraph, DominatorTree, Function, call_defined_registers
 from .value_range import FULL_RANGE, ValueRange
 
-__all__ = ["BranchConstraint", "BranchConstraints", "compute_branch_constraints"]
+__all__ = ["BranchConstraints", "compute_branch_constraints"]
 
 _INT64_MIN = FULL_RANGE.lo
 _INT64_MAX = FULL_RANGE.hi
 
 
-@dataclass(frozen=True)
-class BranchConstraint:
-    """One derived constraint: ``reg`` lies in ``range`` within ``region``."""
-
-    reg: Reg
-    range: ValueRange
-    region: frozenset[str]
-
-
 @dataclass
 class BranchConstraints:
-    """All constraints of one function, indexed by block label."""
+    """All constraints of one function, indexed by (block label, register).
 
-    by_block: dict[str, list[BranchConstraint]] = field(default_factory=dict)
+    Each list holds the bounds in derivation order; a use inside the block
+    is intersected with them in that order.
+    """
 
-    def refine(self, block_label: str, reg: Reg, current: ValueRange) -> ValueRange:
-        """Intersect ``current`` with every constraint on ``reg`` in this block."""
-        result = current
-        for constraint in self.by_block.get(block_label, ()):
-            if constraint.reg != reg:
-                continue
-            refined = result.intersect(constraint.range)
-            if refined is not None:
-                result = refined
-        return result
+    by_use: dict[tuple[str, Reg], list[ValueRange]] = field(default_factory=dict)
+
+    def ranges_for(self, block_label: str, reg: Reg) -> tuple[ValueRange, ...]:
+        """The bounds on ``reg`` that hold inside block ``block_label``."""
+        return tuple(self.by_use.get((block_label, reg), ()))
 
 
 def compute_branch_constraints(
@@ -91,9 +79,8 @@ def compute_branch_constraints(
             for reg, value_range in derived:
                 if _region_defines(function, region, reg):
                     continue
-                constraint = BranchConstraint(reg=reg, range=value_range, region=region)
                 for label in region:
-                    constraints.by_block.setdefault(label, []).append(constraint)
+                    constraints.by_use.setdefault((label, reg), []).append(value_range)
     return constraints
 
 
@@ -122,7 +109,8 @@ def _branch_constraints(
             return [(sources[0], ValueRange.constant(0))]
         return []
     if condition_def.kind.value == "compare":
-        derived = _derive(_substitute_constants(graph, condition_def), predicate_holds)
+        operands = _substitute_constants(graph, condition_def)
+        derived = _derive(condition_def.op, operands, predicate_holds)
         return [derived] if derived is not None else []
     if condition_def.op is Opcode.AND and predicate_holds:
         results: list[tuple[Reg, ValueRange]] = []
@@ -130,7 +118,7 @@ def _branch_constraints(
             compare = _single_def(graph, condition_def, operand)
             if compare is None or compare.kind.value != "compare":
                 return []
-            derived = _derive(_substitute_constants(graph, compare), True)
+            derived = _derive(compare.op, _substitute_constants(graph, compare), True)
             if derived is not None:
                 results.append(derived)
         return results
@@ -147,15 +135,14 @@ def _single_def(graph: DependenceGraph, inst: Instruction, reg: Reg) -> Instruct
     return graph.definition_instruction(next(iter(defs)))
 
 
-def _substitute_constants(graph: DependenceGraph, compare: Instruction) -> Instruction:
-    """Fold constant-register operands of a comparison into immediates.
+def _substitute_constants(graph: DependenceGraph, compare: Instruction) -> tuple[Reg | Imm, ...]:
+    """Operands of a comparison, with constant registers folded to immediates.
 
     The code generator materialises the constant of swapped comparisons
     (``a > 5`` becomes ``li t, 5; cmplt t2, t, a``), so constraint derivation
     must look through such ``li`` definitions to see the constant.
     """
-    new_srcs = []
-    changed = False
+    srcs: list[Reg | Imm] = []
     for operand in compare.srcs:
         if isinstance(operand, Reg) and not operand.is_zero:
             producer = _single_def(graph, compare, operand)
@@ -164,26 +151,24 @@ def _substitute_constants(graph: DependenceGraph, compare: Instruction) -> Instr
                 and producer.op is Opcode.LI
                 and isinstance(producer.srcs[0], Imm)
             ):
-                new_srcs.append(producer.srcs[0])
-                changed = True
+                srcs.append(producer.srcs[0])
                 continue
         if isinstance(operand, Reg) and operand.is_zero:
-            new_srcs.append(Imm(0))
-            changed = True
+            srcs.append(Imm(0))
             continue
-        new_srcs.append(operand)
-    if not changed:
-        return compare
-    return Instruction(op=compare.op, dest=compare.dest, srcs=tuple(new_srcs), width=compare.width)
+        srcs.append(operand)
+    return tuple(srcs)
 
 
-def _derive(compare: Instruction, predicate_holds: bool) -> tuple[Reg, ValueRange] | None:
+def _derive(
+    op: Opcode, srcs: tuple[Reg | Imm, ...], predicate_holds: bool
+) -> tuple[Reg, ValueRange] | None:
     """Derive a (register, range) constraint from a comparison outcome."""
-    left, right = compare.srcs
+    left, right = srcs
     if isinstance(left, Reg) and isinstance(right, Imm):
-        return _constrain(compare.op, left, right.value, register_on_left=True, holds=predicate_holds)
+        return _constrain(op, left, right.value, register_on_left=True, holds=predicate_holds)
     if isinstance(left, Imm) and isinstance(right, Reg):
-        return _constrain(compare.op, right, left.value, register_on_left=False, holds=predicate_holds)
+        return _constrain(op, right, left.value, register_on_left=False, holds=predicate_holds)
     return None
 
 

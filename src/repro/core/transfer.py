@@ -12,7 +12,7 @@ from typing import Optional
 from ..isa import Instruction, OpKind, Opcode, Width
 from .value_range import FULL_RANGE, ValueRange, range_for_width
 
-__all__ = ["forward_transfer", "LOAD_RESULT_RANGES"]
+__all__ = ["forward_transfer", "transfer_range", "LOAD_RESULT_RANGES"]
 
 #: Forward range of a load result, determined purely by the opcode
 #: (§2.2.2): byte/halfword loads zero-extend, word loads sign-extend.
@@ -45,10 +45,18 @@ def forward_transfer(
     the destination register, needed only by conditional moves.  Returns
     ``None`` for instructions that produce no register result.
     """
-    kind = inst.kind
-    op = inst.op
-    width = inst.width
+    return transfer_range(inst.kind, inst.op, inst.width, src_ranges, dest_old)
 
+
+def transfer_range(
+    kind: OpKind,
+    op: Opcode,
+    width: Width,
+    src_ranges: list[ValueRange],
+    dest_old: Optional[ValueRange] = None,
+) -> Optional[ValueRange]:
+    """:func:`forward_transfer` for an instruction already decoded into its
+    kind, opcode and width (callers that apply it repeatedly decode once)."""
     if kind is OpKind.LOAD:
         return LOAD_RESULT_RANGES[op]
     if kind in (OpKind.STORE, OpKind.BRANCH, OpKind.RETURN, OpKind.HALT, OpKind.NOP, OpKind.OUTPUT):

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..isa import Imm, Instruction, Opcode, Reg
-from ..ir import DependenceGraph, Definition, Function, Loop
+from ..ir import DependenceGraph, Definition, Function, Loop, call_defined_registers
 from .value_range import ValueRange
 
-__all__ = ["LoopPins", "analyze_loop_iterators"]
+__all__ = ["LoopIterator", "LoopPins", "find_loop_iterators", "pin_loop_iterators"]
 
 
 @dataclass
@@ -36,44 +36,73 @@ class LoopPins:
     #: Number of loops examined.
     examined_loops: int = 0
 
-    def merge(self, other: "LoopPins") -> None:
-        self.def_ranges.update(other.def_ranges)
-        self.use_ranges.update(other.use_ranges)
-        self.bounded_loops += other.bounded_loops
-        self.examined_loops += other.examined_loops
-
 
 RangeOracle = Callable[[Definition], Optional[ValueRange]]
 
 
-def analyze_loop_iterators(
-    function: Function,
-    loops: list[Loop],
+@dataclass(frozen=True)
+class LoopIterator:
+    """The range-independent shape of one analysable loop.
+
+    ``increment`` is the unique in-loop ``iterator = iterator ± step``;
+    ``compare`` is the header test against ``bound``, and the body runs
+    while ``stay_op`` holds with the bound on the side ``bound_side_left``
+    names (see :func:`_stay_predicate`).
+    """
+
+    compare: Instruction
+    iterator: Reg
+    bound: int
+    stay_op: Opcode
+    bound_side_left: bool
+    increment: Instruction
+    step: int
+
+
+def find_loop_iterators(
+    function: Function, loops: list[Loop], graph: DependenceGraph
+) -> list[Optional[LoopIterator]]:
+    """The iterator pattern of every loop of ``function`` (None if absent).
+
+    The pattern depends only on the code, so it is matched once; the
+    ranges enter in :func:`pin_loop_iterators`.
+    """
+    return [_match_loop(function, loop, graph) for loop in loops]
+
+
+def pin_loop_iterators(
+    iterators: list[Optional[LoopIterator]],
     graph: DependenceGraph,
     initial_range_of: RangeOracle,
 ) -> LoopPins:
-    """Compute iterator pins for every analysable loop of ``function``.
+    """Pins for every matched loop whose initial iterator range is known.
 
     ``initial_range_of`` maps a definition to its currently known range (or
     ``None``); it is supplied by the propagation engine so that the analysis
     can use up-to-date ranges for the iterator's initial value.
     """
-    pins = LoopPins()
-    for loop in loops:
-        pins.examined_loops += 1
-        loop_pins = _analyze_one_loop(function, loop, graph, initial_range_of)
-        if loop_pins is not None:
-            pins.merge(loop_pins)
-            pins.bounded_loops += 1
+    pins = LoopPins(examined_loops=len(iterators))
+    for pattern in iterators:
+        if pattern is None:
+            continue
+        init_range = _initial_range(
+            graph, pattern.compare, pattern.iterator, pattern.increment, initial_range_of
+        )
+        if init_range is None:
+            continue
+        body_range = _body_range(
+            pattern.stay_op, pattern.bound_side_left, pattern.bound, pattern.step, init_range
+        )
+        if body_range is None:
+            continue
+        uid, step = pattern.increment.uid, pattern.step
+        pins.def_ranges[uid] = ValueRange(body_range.lo + step, body_range.hi + step)
+        pins.use_ranges[(uid, pattern.iterator)] = body_range
+        pins.bounded_loops += 1
     return pins
 
 
-def _analyze_one_loop(
-    function: Function,
-    loop: Loop,
-    graph: DependenceGraph,
-    initial_range_of: RangeOracle,
-) -> Optional[LoopPins]:
+def _match_loop(function: Function, loop: Loop, graph: DependenceGraph) -> Optional[LoopIterator]:
     header = function.blocks[loop.header]
     terminator = header.terminator
     if terminator is None or terminator.op not in (Opcode.BEQ, Opcode.BNE):
@@ -97,19 +126,7 @@ def _analyze_one_loop(
     step = _step_of(increment)
     if step is None or step == 0:
         return None
-
-    init_range = _initial_range(graph, compare, iterator, increment, initial_range_of)
-    if init_range is None:
-        return None
-
-    body_range = _body_range(stay_op, bound_side_left, bound, step, init_range)
-    if body_range is None:
-        return None
-
-    pins = LoopPins()
-    pins.def_ranges[increment.uid] = ValueRange(body_range.lo + step, body_range.hi + step)
-    pins.use_ranges[(increment.uid, iterator)] = body_range
-    return pins
+    return LoopIterator(compare, iterator, bound, stay_op, bound_side_left, increment, step)
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +199,6 @@ def _find_increment(function: Function, loop: Loop, iterator: Reg) -> Optional[I
         for inst in function.blocks[label].instructions:
             if iterator not in inst.defs():
                 if inst.is_call and not iterator.is_zero:
-                    from ..ir import call_defined_registers
-
                     if iterator in call_defined_registers(None):
                         return None
                 continue

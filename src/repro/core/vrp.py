@@ -6,6 +6,16 @@ callees to callers and argument ranges flow from call sites to callee
 parameters (§2.4, interprocedural analysis).  The result maps every
 instruction to its assigned operand width; :func:`apply_widths` re-encodes
 the program in place.
+
+Each :func:`run_vrp` call builds one :class:`FunctionVRP` per function, so
+the static facts (dependence graph, dominators, loops, branch constraints,
+useful bits and the pass plan) are computed once per function, not once per
+round.  A later round re-analyses a function only when its parameter
+ranges or the return range of one of its callees differ from those its
+previous analysis saw; otherwise that analysis stands, which is exact
+because the engine is deterministic in exactly those inputs.  The engines
+and their pass plans are dropped on return; the result keeps only each
+function's final analysis.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
     result = VRPResult(program=program, config=config)
     result.original_widths = {inst.uid: inst.width for inst in program.instructions()}
 
+    engines = {name: FunctionVRP(program.functions[name], program, config) for name in order}
     param_ranges: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
     return_ranges: dict[str, ValueRange] = {}
 
@@ -84,15 +95,7 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
         result.global_rounds = round_index + 1
         observed_args: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
         for name in order:
-            function = program.functions[name]
-            engine = FunctionVRP(
-                function,
-                program,
-                config,
-                param_ranges=param_ranges.get(name, {}),
-                return_ranges=return_ranges,
-            )
-            analysis = engine.run()
+            analysis = engines[name].run(param_ranges[name], return_ranges)
             result.analyses[name] = analysis
             return_ranges[name] = analysis.return_range
             if config.interprocedural:

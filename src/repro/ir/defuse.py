@@ -87,6 +87,12 @@ class DependenceGraph:
         #: definitions reaching the end of each exit block, per register
         #: (used by interprocedural analysis for return values).
         self.exit_definitions: dict[Reg, set[Definition]] = {}
+        #: the value of every register on function entry, by register index.
+        self.entry_definitions: tuple[Definition, ...] = tuple(
+            Definition("entry", Reg(i)) for i in range(32)
+        )
+        #: definitions generated by each instruction, by uid.
+        self.definitions_by_uid: dict[int, tuple[Definition, ...]] = {}
 
     def reaching_definitions(self, inst: Instruction, reg: Reg) -> frozenset[Definition]:
         """Definitions that may produce the value ``inst`` reads from ``reg``."""
@@ -143,23 +149,29 @@ def build_dependence_graph(
             return program.functions.get(target)
         return None
 
-    # GEN/KILL per block over register -> set of definitions.
-    gen: dict[str, dict[Reg, set[Definition]]] = {}
+    # GEN/KILL per block over register index -> set of definitions.  The
+    # sets are immutable, so states share them instead of copying.
+    gen: dict[str, dict[int, frozenset[Definition]]] = {}
     for block in function.iter_blocks():
-        block_gen: dict[Reg, set[Definition]] = {}
+        block_gen: dict[int, frozenset[Definition]] = {}
         for inst in block.instructions:
-            for definition in _instruction_definitions(inst, resolve(inst.target)):
-                block_gen[definition.reg] = {definition}
+            definitions = tuple(_instruction_definitions(inst, resolve(inst.target)))
+            graph.definitions_by_uid[inst.uid] = definitions
+            for definition in definitions:
+                block_gen[definition.reg.index] = frozenset((definition,))
         gen[block.label] = block_gen
 
-    entry_state: dict[Reg, set[Definition]] = {
-        Reg(i): {Definition("entry", Reg(i))} for i in range(32)
+    entry_state: dict[int, frozenset[Definition]] = {
+        index: frozenset((definition,))
+        for index, definition in enumerate(graph.entry_definitions)
     }
 
-    in_state: dict[str, dict[Reg, set[Definition]]] = {
+    in_state: dict[str, dict[int, frozenset[Definition]]] = {
         label: {} for label in function.layout()
     }
-    in_state[function.entry_label] = {r: set(d) for r, d in entry_state.items()}
+    in_state[function.entry_label] = entry_state
+    # OUT = (IN - KILL) ∪ GEN, where KILL is implied by GEN's registers.
+    out_state = {label: {**in_state[label], **gen[label]} for label in in_state}
 
     order = reverse_postorder(function)
     changed = True
@@ -168,44 +180,35 @@ def build_dependence_graph(
         for label in order:
             block = function.blocks[label]
             if label == function.entry_label:
-                state = {r: set(d) for r, d in entry_state.items()}
+                state = entry_state
             else:
                 state = {}
                 for pred in block.predecessors:
-                    pred_out = _block_out(in_state[pred], gen[pred])
-                    for reg, defs in pred_out.items():
-                        state.setdefault(reg, set()).update(defs)
+                    for index, defs in out_state[pred].items():
+                        known = state.get(index)
+                        state[index] = defs if known is None or known is defs else known | defs
             if state != in_state[label]:
                 in_state[label] = state
+                out_state[label] = {**state, **gen[label]}
                 changed = True
 
     # Final pass: walk each block recording use-def / def-use chains.
     for block in function.iter_blocks():
-        state = {r: set(d) for r, d in in_state[block.label].items()}
+        state = dict(in_state[block.label])
         for inst in block.instructions:
-            callee = resolve(inst.target)
-            for reg in _instruction_uses(inst, callee):
+            for reg in _instruction_uses(inst, resolve(inst.target)):
                 if reg.is_zero:
                     continue
-                defs = frozenset(state.get(reg, {Definition("entry", reg)}))
+                defs = state.get(reg.index, entry_state[reg.index])
                 graph.use_def[(inst.uid, reg)] = defs
                 for definition in defs:
                     graph.def_use.setdefault(definition, set()).add((inst.uid, reg))
-            for definition in _instruction_definitions(inst, callee):
-                state[definition.reg] = {definition}
+            for definition in graph.definitions_by_uid[inst.uid]:
+                state[definition.reg.index] = frozenset((definition,))
         terminator = block.terminator
         if terminator is not None and terminator.is_return or not block.successors:
-            for reg, defs in state.items():
-                graph.exit_definitions.setdefault(reg, set()).update(defs)
+            for index, defs in state.items():
+                graph.exit_definitions.setdefault(Reg(index), set()).update(defs)
 
     return graph
 
-
-def _block_out(
-    block_in: dict[Reg, set[Definition]], block_gen: dict[Reg, set[Definition]]
-) -> dict[Reg, set[Definition]]:
-    """OUT = (IN - KILL) ∪ GEN, where KILL is implied by GEN's registers."""
-    out = {reg: set(defs) for reg, defs in block_in.items()}
-    for reg, defs in block_gen.items():
-        out[reg] = set(defs)
-    return out

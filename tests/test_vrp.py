@@ -1,7 +1,9 @@
 """Tests for value range propagation: ranges, loops, useful bits, widths."""
 
-from repro.core import VRPConfig, apply_widths, run_vrp
-from repro.isa import Opcode, Width
+from collections import Counter
+
+from repro.core import VRPConfig, ValueRange, apply_widths, propagation, run_vrp
+from repro.isa import Instruction, Opcode, Width
 from repro.minic import compile_source
 from repro.sim import Machine
 
@@ -164,3 +166,86 @@ class TestWidthAssignmentAndCorrectness:
         assert result.narrowed_instructions() > 0
         distribution = result.static_width_distribution()
         assert sum(distribution.values()) == len(result.widths)
+
+
+class TestInterproceduralRounds:
+    """The per-round skip rule: a function is re-analysed exactly when its
+    parameter ranges or a callee's return range changed since its last
+    analysis, and its static facts are built once per ``run_vrp``."""
+
+    def test_constant_argument_narrows_callee_parameter(self):
+        source = """
+        int sink;
+        int bump(int x) { return x + 1; }
+        int main() { sink = bump(7); return 0; }
+        """
+        program, result = _analyse(source)
+        # Round 1 sees ``x`` unknown; round 2 seeds it with the caller's 7.
+        assert result.global_rounds == 2
+        add = _instruction(program, "bump", Opcode.ADD)
+        analysis = result.analysis_for("bump")
+        assert analysis.operand_range(add, add.srcs[0]) == ValueRange.constant(7)
+        assert analysis.output_range(add) == ValueRange.constant(8)
+        assert result.return_ranges["bump"] == ValueRange.constant(8)
+        assert result.width_of(add.uid) is Width.BYTE
+
+    def test_self_recursive_function_sees_its_own_return_range(self):
+        source = """
+        int left;
+        int half() { if (left <= 0) return 1; left = left - 1; return half() >> 1; }
+        int twice(int x) { return x + x; }
+        int main() { left = 10; print(half() + twice(3)); return 0; }
+        """
+        program = compile_source(source)
+        baseline = Machine(program).run().output
+        result = run_vrp(program)
+        # ``twice``'s parameter forces a second round.  ``half`` has no
+        # parameters, but it calls itself: round 1 shifts an unknown int
+        # (2^31 >> 1), round 2 shifts round 1's range again.
+        assert result.global_rounds == 2
+        assert result.return_ranges["half"] == ValueRange(-(1 << 29), (1 << 29) - 1)
+        apply_widths(program, result)
+        assert Machine(program).run().output == baseline
+
+    def test_static_facts_built_once_and_unchanged_inputs_not_reanalysed(self, monkeypatch):
+        graphs: Counter[str] = Counter()
+        analyses: Counter[str] = Counter()
+        build_graph = propagation.build_dependence_graph
+        analyse = propagation.FunctionVRP._analyse
+
+        def counting_build(function, program=None):
+            graphs[function.name] += 1
+            return build_graph(function, program)
+
+        def counting_analyse(engine, *args):
+            analyses[engine.function.name] += 1
+            return analyse(engine, *args)
+
+        monkeypatch.setattr(propagation, "build_dependence_graph", counting_build)
+        monkeypatch.setattr(propagation.FunctionVRP, "_analyse", counting_analyse)
+        source = """
+        int leaf() { return 5; }
+        int mid(int x) { return x + leaf(); }
+        int main() { print(mid(3)); return 0; }
+        """
+        program, result = _analyse(source)
+        assert result.global_rounds == 2
+        assert graphs == {name: 1 for name in program.functions}
+        # Round 2: ``mid`` gets x = 3 and ``main`` sees mid's new return
+        # range; ``leaf`` has the same (empty) inputs and keeps round 1.
+        assert analyses["leaf"] == 1
+        assert analyses["mid"] == 2
+        assert analyses["main"] == 2
+        assert result.return_ranges["mid"] == ValueRange.constant(8)
+
+    def test_run_vrp_allocates_no_instructions(self):
+        # ``a > 5`` compiles to ``li t, 5; cmplt t2, t, a``: constraint
+        # derivation folds the ``li`` into the comparison.
+        source = """
+        int sink;
+        int main() { int a; a = sink; if (a > 5) { sink = a; } return 0; }
+        """
+        program = compile_source(source)
+        before = Instruction(op=Opcode.NOP).uid
+        run_vrp(program)
+        assert Instruction(op=Opcode.NOP).uid == before + 1
